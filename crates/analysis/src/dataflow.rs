@@ -596,11 +596,9 @@ impl crate::pass::Pass for DeadStoreLintPass {
         "dead-store-lint"
     }
 
-    fn run(&self, cx: &mut crate::pass::AnalysisCtx<'_>) -> Vec<crate::diag::Diagnostic> {
-        let program = cx.program;
-        let ticfg = cx.ticfg();
-        let pts = PointsTo::compute(program, ticfg);
-        let dead = dead_stores(program, ticfg, &pts);
+    fn run(&self, facts: &crate::pass::ProgramFacts<'_>) -> Vec<crate::diag::Diagnostic> {
+        let program = facts.program();
+        let dead = facts.dead_stores();
         let limit = self.limit.unwrap_or(5);
         dead.iter()
             .take(limit)

@@ -274,6 +274,51 @@ impl PointsTo {
         }
     }
 
+    /// The abstract cells a statement may access: the cells its address
+    /// operand denotes, or for an intrinsic, the whole origin of every
+    /// argument.
+    pub fn stmt_locs(&self, program: &Program, s: InstrId) -> LocSet {
+        let (Some(func), Some(instr)) = (program.stmt_func(s), program.instr(s)) else {
+            return LocSet::new();
+        };
+        match &instr.op {
+            Op::Intrinsic { args, .. } => args
+                .iter()
+                .flat_map(|&a| self.operand_origins(func, a))
+                .map(|l| Loc::anywhere(l.origin))
+                .collect(),
+            op => op
+                .access_addr()
+                .map(|addr| self.operand_origins(func, addr))
+                .unwrap_or_default(),
+        }
+    }
+
+    /// The cells each store or free may write, for every one whose
+    /// address resolves (a free covers its whole origin).
+    pub fn write_locs(&self, program: &Program) -> BTreeMap<InstrId, LocSet> {
+        let mut out = BTreeMap::new();
+        for f in &program.functions {
+            for b in &f.blocks {
+                for instr in &b.instrs {
+                    let locs: LocSet = match &instr.op {
+                        Op::Store { addr, .. } => self.operand_origins(f.id, *addr),
+                        Op::Free { addr } => self
+                            .operand_origins(f.id, *addr)
+                            .into_iter()
+                            .map(|l| Loc::anywhere(l.origin))
+                            .collect(),
+                        _ => continue,
+                    };
+                    if !locs.is_empty() {
+                        out.insert(instr.id, locs);
+                    }
+                }
+            }
+        }
+        out
+    }
+
     /// True if two address operands (in possibly different functions) may
     /// denote the same memory cell: the slicer's alias oracle.
     pub fn may_alias(&self, fa: FuncId, a: Operand, fb: FuncId, b: Operand) -> bool {

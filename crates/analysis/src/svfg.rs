@@ -43,8 +43,8 @@ use gist_ir::{
 };
 
 use crate::dataflow::{reaching_definitions, ConstProp, ConstVal, Solution};
-use crate::points_to::{Loc, LocSet, MemOrigin, PointsTo};
-use crate::race::shared_origins_with;
+use crate::pass::ProgramFacts;
+use crate::points_to::{LocSet, MemOrigin, PointsTo};
 
 /// How a value reaches a use site.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -80,34 +80,26 @@ pub struct Svfg {
     /// that want to ask their own path questions, e.g. the null-flow
     /// lint's guard check).
     pub feasibility: Feasibility,
-    /// Origins reachable from more than one thread context.
-    pub shared_origins: BTreeSet<MemOrigin>,
 }
 
 impl Svfg {
-    /// Builds the graph: points-to, reaching defs, constant propagation,
-    /// and the feasibility pruner, then one pass over all statements.
-    pub fn build(program: &Program, ticfg: &Ticfg) -> Svfg {
-        let pts = PointsTo::compute(program, ticfg);
-        Svfg::build_with(program, ticfg, &pts)
-    }
-
-    /// Builds the graph reusing an existing points-to result.
-    pub fn build_with(program: &Program, ticfg: &Ticfg, pts: &PointsTo) -> Svfg {
+    /// Builds the graph from the program's points-to facts, constant
+    /// propagation and shared origins: reaching defs and the feasibility
+    /// pruner, then one pass over all statements.
+    pub(crate) fn build(facts: &ProgramFacts<'_>) -> Svfg {
+        let (program, ticfg, pts) = (facts.program(), facts.ticfg(), facts.points_to());
         let rd = reaching_definitions(program, ticfg, pts);
-        let consts = ConstProp::compute(program, ticfg);
-        let feasibility = Feasibility::compute(program, ticfg, &consts);
-        let shared_origins = shared_origins_with(program, ticfg);
+        let feasibility = Feasibility::compute(program, ticfg, facts.consts());
         let mut b = Builder {
             program,
             ticfg,
             pts,
             rd: &rd,
             feas: &feasibility,
-            shared: &shared_origins,
+            shared: &facts.threads().shared_origins,
             reg_defs: HashMap::new(),
             global_writes: HashMap::new(),
-            write_locs: BTreeMap::new(),
+            write_locs: pts.write_locs(program),
             edges: BTreeMap::new(),
         };
         b.index();
@@ -115,7 +107,6 @@ impl Svfg {
         Svfg {
             edges_in: b.edges,
             feasibility,
-            shared_origins,
         }
     }
 
@@ -198,19 +189,6 @@ impl Builder<'_> {
                             self.global_writes.entry(g).or_default().push(i.id);
                         }
                     }
-                    let locs = match &i.op {
-                        Op::Store { addr, .. } => self.pts.operand_origins(f.id, *addr),
-                        Op::Free { addr } => self
-                            .pts
-                            .operand_origins(f.id, *addr)
-                            .into_iter()
-                            .map(|l| Loc::anywhere(l.origin))
-                            .collect(),
-                        _ => continue,
-                    };
-                    if !locs.is_empty() {
-                        self.write_locs.insert(i.id, locs);
-                    }
                 }
             }
         }
@@ -240,7 +218,7 @@ impl Builder<'_> {
                     }
                 }
                 if is_instr {
-                    self.alias_edges(fid, s);
+                    self.alias_edges(s);
                     self.return_edges(s);
                 }
             }
@@ -308,26 +286,10 @@ impl Builder<'_> {
 
     /// The slicer's alias pull, verbatim: an access on a thread-shared
     /// cell flows from every store/free on an overlapping cell.
-    fn alias_edges(&mut self, fid: FuncId, s: InstrId) {
-        let Some(instr) = self.program.instr(s) else {
-            return;
-        };
-        let locs: LocSet = match &instr.op {
-            Op::Intrinsic { args, .. } => {
-                let mut locs = LocSet::new();
-                for a in args {
-                    for l in self.pts.operand_origins(fid, *a) {
-                        locs.insert(Loc::anywhere(l.origin));
-                    }
-                }
-                locs
-            }
-            op => op
-                .access_addr()
-                .map(|addr| self.pts.operand_origins(fid, addr))
-                .unwrap_or_default(),
-        };
-        let locs: LocSet = locs
+    fn alias_edges(&mut self, s: InstrId) {
+        let locs: LocSet = self
+            .pts
+            .stmt_locs(self.program, s)
             .into_iter()
             .filter(|l| self.shared.contains(&l.origin))
             .collect();
@@ -802,13 +764,11 @@ fn contradicts(facts: &BlockFacts, ef: &EdgeFact) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gist_ir::icfg::Icfg;
     use gist_ir::parser::parse_program;
 
     fn build(text: &str) -> (Program, Svfg) {
         let p = parse_program("t", text).unwrap();
-        let ticfg = Icfg::build_ticfg(&p);
-        let g = Svfg::build(&p, &ticfg);
+        let g = Svfg::build(&ProgramFacts::new(&p));
         (p, g)
     }
 
@@ -1078,8 +1038,7 @@ skip:
 "#,
         )
         .unwrap();
-        let ticfg = Icfg::build_ticfg(&p);
-        let g = Svfg::build(&p, &ticfg);
+        let g = Svfg::build(&ProgramFacts::new(&p));
         let main = &p.functions[0];
         let load = main.blocks[0].instrs[0].id;
         // Block ids follow first-reference order: entry, skip, use.
@@ -1103,8 +1062,7 @@ entry:
 "#,
         )
         .unwrap();
-        let ticfg2 = Icfg::build_ticfg(&p2);
-        let g2 = Svfg::build(&p2, &ticfg2);
+        let g2 = Svfg::build(&ProgramFacts::new(&p2));
         let main2 = &p2.functions[0];
         let load2 = main2.blocks[0].instrs[0].id;
         let lock2 = main2.blocks[0].instrs[1].id;

@@ -27,7 +27,7 @@ use gist_ir::parser::parse_program;
 use gist_ir::{Callee, Function, GlobalId, Op, Operand, Program, Terminator, VarId};
 
 use crate::diag::{sort_diagnostics, Diagnostic};
-use crate::pass::{AnalysisCtx, Pass};
+use crate::pass::{Pass, ProgramFacts};
 
 /// Runs every program-level verifier check (GA002–GA007) and returns the
 /// sorted diagnostics. GA001 is textual; see [`verify_source`].
@@ -392,8 +392,8 @@ impl Pass for VerifierPass {
         "verify"
     }
 
-    fn run(&self, cx: &mut AnalysisCtx<'_>) -> Vec<Diagnostic> {
-        verify(cx.program)
+    fn run(&self, facts: &ProgramFacts<'_>) -> Vec<Diagnostic> {
+        verify(facts.program())
     }
 }
 

@@ -232,12 +232,10 @@ impl<'p> GistServer<'p> {
         // phases separated by a join barrier) are statically-impossible
         // interleavings — they neither seed tracking nor rank watchpoints,
         // so the AsT loop never spends runs testing them.
-        let mhp = self
-            .config
-            .enable_mhp
-            .then(|| gist_analysis::Mhp::compute(self.program, self.slicer.ticfg()));
+        let facts = self.slicer.facts();
+        let mhp = self.config.enable_mhp.then(|| facts.mhp());
         if self.config.enable_race_ranking {
-            let mut analysis = gist_analysis::analyze(self.program);
+            let mut analysis = facts.races().clone();
             if let Some(m) = &mhp {
                 analysis.candidates.retain(|c| {
                     let [a, b] = c.stmts();
@@ -266,20 +264,16 @@ impl<'p> GistServer<'p> {
         // Dead-store pruning: stores the memory-liveness dataflow proves
         // unobservable never occupy a debug register. The failing statement
         // is always kept watchable, whatever the analysis says.
-        let pts = (self.config.enable_dead_store_pruning || mhp.is_some())
-            .then(|| gist_analysis::PointsTo::compute(self.program, self.slicer.ticfg()));
         if self.config.enable_dead_store_pruning {
-            let pts = pts.as_ref().expect("computed above");
-            dead = gist_analysis::dead_stores(self.program, self.slicer.ticfg(), pts);
+            dead = facts.dead_stores().clone();
             dead.remove(&report.failing_stmt);
         }
         // Never-parallel writes: their interleavings cannot matter, so
         // they never occupy a debug register. The failing statement and
         // race-ranked statements always stay watchable.
         let mut never_parallel = BTreeSet::new();
-        if let Some(m) = &mhp {
-            let pts = pts.as_ref().expect("computed above");
-            never_parallel = m.never_parallel_stores(self.program, pts);
+        if let Some(m) = mhp {
+            never_parallel = m.never_parallel_stores(self.program, facts.points_to());
             never_parallel.remove(&report.failing_stmt);
             for s in &watch_priority {
                 never_parallel.remove(s);
@@ -294,12 +288,12 @@ impl<'p> GistServer<'p> {
         } else {
             Default::default()
         };
-        let planner = Planner::new(self.program, self.slicer.ticfg())
+        let planner = Planner::new(self.program, facts.ticfg())
             .with_watch_priority(watch_priority)
             .with_distance_rank(flow_distances)
             .with_dead_store_filter(dead)
             .with_mhp_filter(never_parallel);
-        let builder = SketchBuilder::new(self.program)
+        let builder = SketchBuilder::new(facts)
             .with_title(&self.config.title)
             .with_class(&self.config.bug_class);
         let signature = report.signature();

@@ -2,8 +2,9 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 
-use gist_analysis::points_to::{Loc, LocSet, MemOrigin, PointsTo};
+use gist_analysis::points_to::LocSet;
 use gist_analysis::svfg::{Svfg, SvfgEdgeKind};
+use gist_analysis::ProgramFacts;
 use gist_ir::icfg::Icfg;
 use gist_ir::{InstrId, Op, Operand, Program, Terminator};
 
@@ -82,102 +83,52 @@ impl Slice {
     }
 }
 
-/// The static slicer. Holds the program-wide analyses so multiple slices
-/// can be computed cheaply (Gist's server reuses them across failures).
+/// The static slicer. Owns the program's [`ProgramFacts`] so multiple
+/// slices can be computed cheaply (Gist's server reuses them across
+/// failures, and shares them with its planner and sketch engine).
 pub struct StaticSlicer<'p> {
     program: &'p Program,
-    ticfg: Icfg,
+    facts: ProgramFacts<'p>,
     defuse: DefUse,
     cdeps: ControlDeps,
-    pts: PointsTo,
     /// Abstract cells written by each store/free, for alias-aware data
     /// dependences. Frees are widened to their whole origin.
     write_locs: BTreeMap<InstrId, LocSet>,
-    /// Origins reachable from more than one thread context. Alias-aware
-    /// pulling is restricted to these: same-thread heap flows are covered
-    /// by def-use chains, and pulling every aliasing write in a sequential
-    /// program is exactly the slice blow-up §3.1 warns about.
-    shared_origins: std::collections::BTreeSet<MemOrigin>,
-    /// The sparse value-flow graph: def-use chains with 1-CFA call/return
-    /// binding and path-feasibility pruning. [`StaticSlicer::compute_with_svfg`]
-    /// walks it instead of the flow-insensitive item worklist.
-    svfg: Svfg,
 }
 
 impl<'p> StaticSlicer<'p> {
     /// Builds the slicer's analyses (TICFG, def/use, control deps,
-    /// points-to).
+    /// points-to). The SVFG and the thread model's shared origins are
+    /// filled on first use.
     pub fn new(program: &'p Program) -> StaticSlicer<'p> {
-        let ticfg = Icfg::build_ticfg(program);
-        let pts = PointsTo::compute(program, &ticfg);
-        let mut write_locs: BTreeMap<InstrId, LocSet> = BTreeMap::new();
-        for f in &program.functions {
-            for b in &f.blocks {
-                for instr in &b.instrs {
-                    let locs = match &instr.op {
-                        Op::Store { addr, .. } => pts.operand_origins(f.id, *addr),
-                        Op::Free { addr } => pts
-                            .operand_origins(f.id, *addr)
-                            .into_iter()
-                            .map(|l| Loc::anywhere(l.origin))
-                            .collect(),
-                        _ => continue,
-                    };
-                    if !locs.is_empty() {
-                        write_locs.insert(instr.id, locs);
-                    }
-                }
-            }
-        }
-        let shared_origins = gist_analysis::shared_origins_with(program, &ticfg);
-        let svfg = Svfg::build_with(program, &ticfg, &pts);
+        let facts = ProgramFacts::new(program);
+        let write_locs = facts.points_to().write_locs(program);
         StaticSlicer {
             program,
-            ticfg,
+            facts,
             defuse: DefUse::build(program),
             cdeps: ControlDeps::build(program),
-            pts,
             write_locs,
-            shared_origins,
-            svfg,
         }
     }
 
-    /// The sparse value-flow graph (shared with the sketch engine for
+    /// The program's shared static facts.
+    pub fn facts(&self) -> &ProgramFacts<'p> {
+        &self.facts
+    }
+
+    /// The sparse value-flow graph: def-use chains with 1-CFA call/return
+    /// binding and path-feasibility pruning, which
+    /// [`StaticSlicer::compute_with_svfg`] walks instead of the
+    /// flow-insensitive item worklist (shared with the sketch engine for
     /// inter-thread provenance annotations).
     pub fn svfg(&self) -> &Svfg {
-        &self.svfg
-    }
-
-    /// The abstract cells a slice statement may read (or, for a store,
-    /// overwrite): the alias-aware counterpart of `stmt_uses`.
-    fn access_locs(&self, id: InstrId) -> LocSet {
-        let Some(func) = self.program.stmt_func(id) else {
-            return LocSet::new();
-        };
-        let Some(instr) = self.program.instr(id) else {
-            return LocSet::new();
-        };
-        match &instr.op {
-            Op::Intrinsic { args, .. } => {
-                let mut locs = LocSet::new();
-                for a in args {
-                    for l in self.pts.operand_origins(func, *a) {
-                        locs.insert(Loc::anywhere(l.origin));
-                    }
-                }
-                locs
-            }
-            op => op
-                .access_addr()
-                .map(|addr| self.pts.operand_origins(func, addr))
-                .unwrap_or_default(),
-        }
+        self.facts.svfg()
     }
 
     /// The TICFG (shared with the instrumentation planner).
     pub fn ticfg(&self) -> &Icfg {
-        &self.ticfg
+        self.facts.ticfg()
     }
 
     /// Computes the backward-feasible statement set and distances.
@@ -197,7 +148,7 @@ impl<'p> StaticSlicer<'p> {
         q.push_back(criterion);
         while let Some(s) = q.pop_front() {
             let d = dist[&s];
-            for &(p, _) in self.ticfg.preds(s) {
+            for &(p, _) in self.ticfg().preds(s) {
                 if let std::collections::hash_map::Entry::Vacant(e) = dist.entry(p) {
                     e.insert(d + 1);
                     q.push_back(p);
@@ -219,7 +170,7 @@ impl<'p> StaticSlicer<'p> {
             let mut fq = VecDeque::new();
             fq.push_back((spawn, d0));
             while let Some((s, d)) = fq.pop_front() {
-                for &(n, _) in self.ticfg.succs(s) {
+                for &(n, _) in self.ticfg().succs(s) {
                     let nd = d + 1;
                     let better = dist.get(&n).map(|&old| nd < old).unwrap_or(true);
                     if better {
@@ -290,7 +241,7 @@ impl<'p> StaticSlicer<'p> {
             if *e > d {
                 *e = d;
             }
-            for edge in self.svfg.edges_in(s) {
+            for edge in self.svfg().edges_in(s) {
                 let (next_ctx, ok) = match edge.kind {
                     // Descending into a callee: remember the call site.
                     SvfgEdgeKind::Ret(c) => (Some(c), true),
@@ -335,7 +286,7 @@ impl<'p> StaticSlicer<'p> {
                     continue;
                 }
                 out.insert(br);
-                for edge in self.svfg.edges_in(br) {
+                for edge in self.svfg().edges_in(br) {
                     if edge.kind == SvfgEdgeKind::Direct && slice.contains(edge.def) {
                         out.insert(edge.def);
                     }
@@ -400,10 +351,13 @@ impl<'p> StaticSlicer<'p> {
                 // are already on def-use chains, and pulling them would
                 // inflate sequential slices (the §3.1 blow-up).
                 if alias == AliasMode::PointsTo {
+                    let shared = &self.facts.threads().shared_origins;
                     let locs: LocSet = self
-                        .access_locs(s)
+                        .facts
+                        .points_to()
+                        .stmt_locs(self.program, s)
                         .into_iter()
-                        .filter(|l| self.shared_origins.contains(&l.origin))
+                        .filter(|l| shared.contains(&l.origin))
                         .collect();
                     if !locs.is_empty() {
                         for (&w, wlocs) in &self.write_locs {
@@ -441,7 +395,7 @@ impl<'p> StaticSlicer<'p> {
                 // callees' return statements and returned items.
                 if let Some(instr) = self.program.instr(s) {
                     if let Op::Call { dst: Some(_), .. } = &instr.op {
-                        if let Some(targets) = self.ticfg.call_targets.get(&s) {
+                        if let Some(targets) = self.ticfg().call_targets.get(&s) {
                             for &callee in targets {
                                 for b in &self.program.function(callee).blocks {
                                     if let Terminator::Ret {
@@ -487,7 +441,7 @@ impl<'p> StaticSlicer<'p> {
                         let func = self.program.function(f);
                         if (v.0 as usize) < func.params.len() {
                             let arg_idx = v.0 as usize;
-                            if let Some(callers) = self.ticfg.callers.get(&f) {
+                            if let Some(callers) = self.ticfg().callers.get(&f) {
                                 for &cs in callers {
                                     if !feasible.contains_key(&cs) {
                                         continue;

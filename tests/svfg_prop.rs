@@ -14,8 +14,7 @@
 //!    every statement in `compute_with_svfg` also appears in `compute`.
 //!    The SVFG prunes; it must never invent dependencies.
 
-use gist_analysis::{reaching_definitions, PointsTo, Svfg, SvfgEdgeKind};
-use gist_ir::icfg::Icfg;
+use gist_analysis::{reaching_definitions, ProgramFacts, SvfgEdgeKind};
 use gist_ir::{InstrId, Program};
 use gist_slicing::StaticSlicer;
 
@@ -33,10 +32,9 @@ fn all_instrs(program: &Program) -> Vec<InstrId> {
 fn intra_thread_edges_agree_with_reaching_defs() {
     for bug in gist_bugbase::all_bugs() {
         let program = &bug.program;
-        let ticfg = Icfg::build_ticfg(program);
-        let pts = PointsTo::compute(program, &ticfg);
-        let rd = reaching_definitions(program, &ticfg, &pts);
-        let svfg = Svfg::build_with(program, &ticfg, &pts);
+        let facts = ProgramFacts::new(program);
+        let rd = reaching_definitions(program, facts.ticfg(), facts.points_to());
+        let svfg = facts.svfg();
         for use_site in svfg.use_sites() {
             for edge in svfg.edges_in(use_site) {
                 if !matches!(edge.kind, SvfgEdgeKind::Direct | SvfgEdgeKind::Memory) {
