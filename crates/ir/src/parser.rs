@@ -138,8 +138,9 @@ impl<'t> Parser<'t> {
             None => (rest.trim(), None),
         };
         let (name, size) = if let Some(open) = decl.find('[') {
-            let close = decl
+            let close = decl[open..]
                 .find(']')
+                .map(|i| open + i)
                 .ok_or_else(|| self.err(lineno, "missing ']' in global array"))?;
             let size: u32 = decl[open + 1..close]
                 .trim()
@@ -210,8 +211,9 @@ impl<'t> Parser<'t> {
         let open_paren = rest
             .find('(')
             .ok_or_else(|| self.err(lineno, "missing '(' in fn header"))?;
-        let close_paren = rest
+        let close_paren = rest[open_paren..]
             .find(')')
+            .map(|i| open_paren + i)
             .ok_or_else(|| self.err(lineno, "missing ')' in fn header"))?;
         let name = rest[..open_paren].trim();
         if !rest[close_paren + 1..].trim_end().ends_with('{') {
@@ -388,8 +390,9 @@ impl<'t> Parser<'t> {
             let open = rest
                 .find('(')
                 .ok_or_else(|| self.err(ln, format!("{kw} needs '(args)'")))?;
-            let close = rest
+            let close = rest[open..]
                 .rfind(')')
+                .map(|i| open + i)
                 .ok_or_else(|| self.err(ln, format!("{kw} needs ')'")))?;
             let target = rest[..open].trim();
             let args: Vec<Operand> = rest[open + 1..close]
@@ -880,5 +883,16 @@ entry:
         let text = "fn helper() {\nentry:\n  ret\n}\nfn main() {\nentry:\n  ret\n}\n";
         let p = parse_program("t", text).unwrap();
         assert_eq!(p.function(p.entry).name, "main");
+    }
+
+    #[test]
+    fn closing_bracket_before_opening_is_an_error() {
+        for text in [
+            "global a]0[",
+            "fn main)x( {",
+            "fn main() {\nentry:\n  r = call f)(\n  ret\n}",
+        ] {
+            assert!(parse_program("t", text).is_err(), "{text:?}");
+        }
     }
 }

@@ -168,6 +168,55 @@ proptest! {
     }
 }
 
+/// Tokens of the IR's surface syntax, plus the brackets and separators
+/// the parser slices on, so random lines hit its error paths.
+const IR_TOKENS: &[&str] = &[
+    "a", "main", "x", "0", "-3", "7", "[", "]", "(", ")", "{", "}", "=", ",", ":", "$a", "\"s\"",
+    "entry:", "load", "store", "alloc", "free", "lock", "unlock", "spawn", "join", "call", "add",
+    "eq", "br", "condbr", "ret", "assert", "print", "input",
+];
+
+/// One line: a leading keyword (or none), random tokens glued with either
+/// spaces or nothing, and sometimes the ` {` a function header ends in —
+/// or one of the lines that open and close a function body, so later
+/// lines reach the instruction parser.
+fn ir_line() -> impl Strategy<Value = String> {
+    let random = (
+        prop_oneof![Just("global "), Just("fn "), Just("  "), Just(""),],
+        proptest::collection::vec(0..IR_TOKENS.len(), 0..8),
+        prop_oneof![Just(" "), Just("")],
+        prop_oneof![Just(""), Just(" {")],
+    )
+        .prop_map(|(head, toks, sep, tail)| {
+            let body: Vec<&str> = toks.iter().map(|&i| IR_TOKENS[i]).collect();
+            format!("{head}{}{tail}", body.join(sep))
+        });
+    prop_oneof![
+        random,
+        Just("fn main(a) {".to_owned()),
+        Just("entry:".to_owned()),
+        Just("}".to_owned()),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// The IR parser takes outside input (`gist-analyze file.minic`): on
+    /// any line-structured text it returns a program or a `ParseError`,
+    /// never panics. Every suffix of the lines is parsed too, because the
+    /// parser stops at the first error it meets.
+    #[test]
+    fn parse_program_never_panics(lines in proptest::collection::vec(ir_line(), 0..10)) {
+        for start in 0..lines.len() {
+            let text = lines[start..].join("\n");
+            let outcome =
+                std::panic::catch_unwind(|| gist_ir::parser::parse_program("fuzz", &text));
+            prop_assert!(outcome.is_ok(), "parse_program panicked on:\n{text}");
+        }
+    }
+}
+
 /// Dominator-tree sanity on randomly shaped (reducible and irreducible)
 /// CFGs: the entry dominates every reachable block; immediate dominators
 /// are strict dominators; postdominators mirror it for exits.
