@@ -6,9 +6,9 @@
 //! ToPA STOP): once full, packets are dropped and a single OVF packet marks
 //! the loss.
 
-use bytes::BytesMut;
+use bytes::{BufMut, BytesMut};
 
-use crate::packet::Packet;
+use crate::packet::{Packet, TntBits};
 
 /// Default buffer capacity: 2 MB, as in the paper's driver.
 pub const DEFAULT_CAPACITY: usize = 2 * 1024 * 1024;
@@ -53,8 +53,19 @@ impl TraceBuffer {
     /// the buffer is full (an OVF marker is then written exactly once;
     /// space for it is reserved out of the capacity).
     pub fn push(&mut self, p: &Packet) -> bool {
+        self.push_with(p.encoded_len(), |out| p.encode(out))
+    }
+
+    /// Appends a short TNT packet holding `bits` (non-empty), like
+    /// [`TraceBuffer::push`] of the equivalent [`Packet::Tnt`].
+    pub(crate) fn push_tnt(&mut self, bits: TntBits) -> bool {
+        debug_assert!(!bits.is_empty(), "short TNT holds 1..=6 bits");
+        self.push_with(1, |out| out.put_u8(bits.byte()))
+    }
+
+    /// Appends one packet of `need` bytes written by `encode`.
+    fn push_with(&mut self, need: usize, encode: impl FnOnce(&mut BytesMut)) -> bool {
         self.total_packets += 1;
-        let need = p.encoded_len();
         let reserve = Packet::Ovf.encoded_len();
         if self.overflowed || self.bytes.len() + need + reserve > self.capacity {
             if !self.overflowed {
@@ -64,7 +75,7 @@ impl TraceBuffer {
             self.dropped_packets += 1;
             return false;
         }
-        p.encode(&mut self.bytes);
+        encode(&mut self.bytes);
         true
     }
 
@@ -111,6 +122,7 @@ impl TraceBuffer {
         let out = self.bytes.split().into_vec();
         self.overflowed = false;
         self.dropped_packets = 0;
+        self.total_packets = 0;
         out
     }
 }
@@ -164,7 +176,9 @@ mod tests {
         assert!(!bytes.is_empty());
         assert!(b.is_empty());
         assert!(!b.overflowed());
+        assert_eq!((b.offered(), b.dropped()), (0, 0), "counters reset");
         assert!(b.push(&Packet::Tip { ip: InstrId(2) }));
+        assert_eq!(b.offered() - b.dropped(), 1, "only the new packet kept");
     }
 
     #[test]

@@ -41,8 +41,9 @@ pub struct Frame {
     /// Index of the next statement within the block
     /// (`== instrs.len()` means the terminator is next).
     pub index: usize,
-    /// Register file (None = uninitialized; reading one is a VM bug trap).
-    pub vars: Vec<Option<Value>>,
+    /// Register file. Registers start at 0, which is also what reading a
+    /// never-written register yields.
+    pub vars: Vec<Value>,
     /// Where the return value goes in the caller, if anywhere.
     pub ret_dst: Option<VarId>,
     /// The callsite statement in the caller (for stack traces).
@@ -57,10 +58,14 @@ impl Frame {
     /// Creates a frame for `func` with `nvars` registers, binding `args`
     /// to the first registers.
     pub fn new(func: FuncId, nvars: usize, args: &[Value]) -> Frame {
-        let mut vars = vec![None; nvars];
-        for (i, &a) in args.iter().enumerate() {
-            vars[i] = Some(a);
-        }
+        let mut vars = vec![0; nvars];
+        vars[..args.len()].copy_from_slice(args);
+        Frame::with_vars(func, vars)
+    }
+
+    /// Creates a frame for `func` over an already initialized register
+    /// file.
+    pub fn with_vars(func: FuncId, vars: Vec<Value>) -> Frame {
         Frame {
             func,
             pc: 0,
@@ -92,10 +97,15 @@ pub struct Thread {
 impl Thread {
     /// Creates a thread whose outermost frame runs `func(args)`.
     pub fn new(tid: u32, core: u32, func: FuncId, nvars: usize, args: &[Value]) -> Thread {
+        Thread::with_frame(tid, core, Frame::new(func, nvars, args))
+    }
+
+    /// Creates a thread whose outermost frame is `frame`.
+    pub fn with_frame(tid: u32, core: u32, frame: Frame) -> Thread {
         Thread {
             tid,
             core,
-            frames: vec![Frame::new(func, nvars, args)],
+            frames: vec![frame],
             state: ThreadState::Runnable,
             held_mutexes: Vec::new(),
         }
@@ -124,9 +134,7 @@ mod tests {
     #[test]
     fn frame_binds_args_to_leading_vars() {
         let f = Frame::new(FuncId(0), 4, &[10, 20]);
-        assert_eq!(f.vars[0], Some(10));
-        assert_eq!(f.vars[1], Some(20));
-        assert_eq!(f.vars[2], None);
+        assert_eq!(f.vars, vec![10, 20, 0, 0]);
     }
 
     #[test]

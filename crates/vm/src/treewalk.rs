@@ -379,12 +379,12 @@ impl<'p> TreeWalkVm<'p> {
         match op {
             Operand::Const(v) => v,
             Operand::Global(g) => self.mem.global_base(g) as Value,
-            Operand::Var(v) => self.threads[tid as usize].top().vars[v.index()].unwrap_or(0),
+            Operand::Var(v) => self.threads[tid as usize].top().vars[v.index()],
         }
     }
 
     fn set_var(&mut self, tid: u32, var: VarId, value: Value) {
-        self.threads[tid as usize].top_mut().vars[var.index()] = Some(value);
+        self.threads[tid as usize].top_mut().vars[var.index()] = value;
     }
 
     fn emit_mem(

@@ -116,6 +116,7 @@ pub struct RunResult {
 #[derive(Debug, Default)]
 pub struct VmScratch {
     mem: MemScratch,
+    regs: Vec<Vec<Value>>,
 }
 
 /// The MiniC virtual machine.
@@ -137,6 +138,11 @@ pub struct Vm<'p> {
     sched_picks: u64,
     preemptions: u64,
     last_picked: Option<u32>,
+    /// Set when a thread is spawned or changes scheduling state: the
+    /// runnable set is rebuilt only then, not before every pick.
+    runnable_changed: bool,
+    /// Register files of returned frames, reused by later calls.
+    free_regs: Vec<Vec<Value>>,
     retired_per_core: Vec<u64>,
     branches: u64,
     indirect_transfers: u64,
@@ -203,15 +209,13 @@ impl<'p> Vm<'p> {
             })
             .collect();
         let entry = program.entry;
-        let nvars = compiled.funcs[entry.index()].num_vars;
-        let threads = vec![Thread::new(0, 0, entry, nvars, &[])];
         let cores = config.num_cores.max(1);
-        Vm {
+        let mut vm = Vm {
             program,
             compiled,
             config,
             mem,
-            threads,
+            threads: Vec::new(),
             mutex_owners: FxHashMap::default(),
             input_values,
             output: Vec::new(),
@@ -220,17 +224,30 @@ impl<'p> Vm<'p> {
             sched_picks: 0,
             preemptions: 0,
             last_picked: None,
+            runnable_changed: true,
+            free_regs: scratch.regs,
             retired_per_core: vec![0; cores as usize],
             branches: 0,
             indirect_transfers: 0,
             mem_accesses: 0,
-        }
+        };
+        let main = vm.frame(entry.index(), &[]);
+        vm.threads.push(Thread::with_frame(0, 0, main));
+        vm
     }
 
     /// Tears the VM down to its reusable allocations.
     pub fn into_scratch(self) -> VmScratch {
+        let mut regs = self.free_regs;
+        regs.extend(
+            self.threads
+                .into_iter()
+                .flat_map(|t| t.frames)
+                .map(|f| f.vars),
+        );
         VmScratch {
             mem: self.mem.into_scratch(),
+            regs,
         }
     }
 
@@ -283,13 +300,15 @@ impl<'p> Vm<'p> {
         }
         let mut runnable: Vec<u32> = Vec::with_capacity(4);
         loop {
-            runnable.clear();
-            runnable.extend(
-                self.threads
-                    .iter()
-                    .filter(|t| t.is_runnable())
-                    .map(|t| t.tid),
-            );
+            if std::mem::take(&mut self.runnable_changed) {
+                runnable.clear();
+                runnable.extend(
+                    self.threads
+                        .iter()
+                        .filter(|t| t.is_runnable())
+                        .map(|t| t.tid),
+                );
+            }
             if runnable.is_empty() {
                 let blocked = self
                     .threads
@@ -335,7 +354,9 @@ impl<'p> Vm<'p> {
             debug_assert!(runnable.contains(&tid));
             self.sched_picks += 1;
             if let Some(prev) = self.last_picked {
-                if prev != tid && runnable.contains(&prev) {
+                // The runnable set is current, so membership is the
+                // thread's own state.
+                if prev != tid && self.threads[prev as usize].is_runnable() {
                     self.preemptions += 1;
                 }
             }
@@ -454,7 +475,7 @@ impl<'p> Vm<'p> {
         match exec {
             Exec::Block(reason) => {
                 // Do not retire the statement; the thread retries it.
-                self.threads[tid as usize].state = ThreadState::Blocked(reason);
+                self.set_state(tid, ThreadState::Blocked(reason));
                 return None;
             }
             Exec::Fail(kind) => {
@@ -484,13 +505,34 @@ impl<'p> Vm<'p> {
             }
             Exec::Exited => {
                 self.retire(tid, core, iid, observers);
-                self.threads[tid as usize].state = ThreadState::Finished;
+                self.set_state(tid, ThreadState::Finished);
                 let seq = self.next_seq();
                 self.emit(observers, Event::ThreadExit { seq, tid, core });
                 self.wake_joiners(tid);
             }
         }
         None
+    }
+
+    /// A zeroed register file of `nvars` registers, recycled from a
+    /// returned frame when one is available.
+    fn take_regs(&mut self, nvars: usize) -> Vec<Value> {
+        let mut vars = self.free_regs.pop().unwrap_or_default();
+        vars.clear();
+        vars.resize(nvars, 0);
+        vars
+    }
+
+    /// An outermost frame running function `func` on `args`.
+    fn frame(&mut self, func: usize, args: &[Value]) -> Frame {
+        let mut vars = self.take_regs(self.compiled.funcs[func].num_vars);
+        vars[..args.len()].copy_from_slice(args);
+        Frame::with_vars(FuncId(func as u32), vars)
+    }
+
+    fn set_state(&mut self, tid: u32, state: ThreadState) {
+        self.threads[tid as usize].state = state;
+        self.runnable_changed = true;
     }
 
     fn retire(&mut self, tid: u32, core: u32, iid: InstrId, observers: &mut [&mut dyn Observer]) {
@@ -512,17 +554,17 @@ impl<'p> Vm<'p> {
     fn val(&self, tid: u32, slot: Slot) -> Value {
         match slot {
             Slot::Const(v) => v,
-            Slot::Var(i) => self.threads[tid as usize].top().vars[i as usize].unwrap_or(0),
+            Slot::Var(i) => self.threads[tid as usize].top().vars[i as usize],
         }
     }
 
     #[inline]
     fn set_slot(&mut self, tid: u32, slot: u32, value: Value) {
-        self.threads[tid as usize].top_mut().vars[slot as usize] = Some(value);
+        self.threads[tid as usize].top_mut().vars[slot as usize] = value;
     }
 
     fn set_var(&mut self, tid: u32, var: VarId, value: Value) {
-        self.threads[tid as usize].top_mut().vars[var.index()] = Some(value);
+        self.threads[tid as usize].top_mut().vars[var.index()] = value;
     }
 
     fn emit_mem(
@@ -663,14 +705,9 @@ impl<'p> Vm<'p> {
                 let arg = self.val(tid, *arg);
                 let child = self.threads.len() as u32;
                 let core = child % self.config.num_cores.max(1);
-                let nvars = comp.funcs[target].num_vars;
-                self.threads.push(Thread::new(
-                    child,
-                    core,
-                    FuncId(target as u32),
-                    nvars,
-                    &[arg],
-                ));
+                let frame = self.frame(target, &[arg]);
+                self.threads.push(Thread::with_frame(child, core, frame));
+                self.runnable_changed = true;
                 if let Some(d) = dst {
                     self.set_slot(tid, *d, child as Value);
                 }
@@ -813,6 +850,7 @@ impl<'p> Vm<'p> {
                     .frames
                     .pop()
                     .expect("ret needs a frame");
+                self.free_regs.push(frame.vars);
                 let core = self.threads[tid as usize].core;
                 if self.threads[tid as usize].frames.is_empty() {
                     let seq = self.next_seq();
@@ -959,11 +997,15 @@ impl<'p> Vm<'p> {
             Ok(f) => f,
             Err(k) => return Exec::Fail(k),
         };
-        let argv: Vec<Value> = args.iter().map(|&a| self.val(tid, a)).collect();
+        // Arguments go straight into the callee's register file, read from
+        // the caller's frame before the callee's is pushed.
+        let mut vars = self.take_regs(comp.funcs[target].num_vars);
+        for (v, &a) in vars.iter_mut().zip(args.iter()) {
+            *v = self.val(tid, a);
+        }
         // Advance past the call before pushing, so `ret` resumes after it.
         self.threads[tid as usize].top_mut().pc += 1;
-        let nvars = comp.funcs[target].num_vars;
-        let mut frame = Frame::new(FuncId(target as u32), nvars, &argv);
+        let mut frame = Frame::with_vars(FuncId(target as u32), vars);
         frame.ret_dst = dst.map(VarId);
         frame.callsite = Some(iid);
         self.threads[tid as usize].frames.push(frame);
@@ -997,17 +1039,19 @@ impl<'p> Vm<'p> {
     }
 
     fn wake_mutex_waiters(&mut self, addr: u64) {
-        for t in &mut self.threads {
-            if t.state == ThreadState::Blocked(BlockReason::Mutex(addr)) {
-                t.state = ThreadState::Runnable;
-            }
-        }
+        self.wake(BlockReason::Mutex(addr));
     }
 
     fn wake_joiners(&mut self, exited: u32) {
+        self.wake(BlockReason::Join(exited));
+    }
+
+    /// Makes every thread blocked for `reason` runnable again.
+    fn wake(&mut self, reason: BlockReason) {
         for t in &mut self.threads {
-            if t.state == ThreadState::Blocked(BlockReason::Join(exited)) {
+            if t.state == ThreadState::Blocked(reason) {
                 t.state = ThreadState::Runnable;
+                self.runnable_changed = true;
             }
         }
     }

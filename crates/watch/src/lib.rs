@@ -215,6 +215,12 @@ impl WatchUnit {
         self.slots.iter().flatten().any(|w| w.addr == addr)
     }
 
+    /// True if any slot is armed (an unarmed unit cannot trap).
+    #[inline]
+    pub fn any_armed(&self) -> bool {
+        self.slots.iter().any(Option::is_some)
+    }
+
     /// Number of free slots.
     pub fn free_slots(&self) -> usize {
         self.slots.iter().filter(|s| s.is_none()).count()
