@@ -2,13 +2,16 @@
 //!
 //! For randomly generated MiniC programs (loops, branches, calls, threads,
 //! shared memory), fully tracing a run and decoding the packet streams
-//! must reproduce each thread's retired-statement sequence exactly.
+//! must reproduce each thread's retired-statement sequence exactly. The
+//! decoders must also reject, never panic on, outside bytes: arbitrary
+//! byte soup and well-formed packet streams naming statements and threads
+//! that do not exist.
 
 use bytes::BytesMut;
 use gist_ir::builder::ProgramBuilder;
 use gist_ir::{Callee, CmpKind, InstrId, Program};
 use gist_pt::packet::TNT_CAPACITY;
-use gist_pt::{decoder, Packet, PtConfig, PtDriver, PtTracer};
+use gist_pt::{decoder, DecodeCache, Packet, PtConfig, PtDriver, PtTracer};
 use gist_vm::event::EventLog;
 use gist_vm::{Event, SchedulerKind, Vm, VmConfig};
 use proptest::prelude::*;
@@ -280,5 +283,119 @@ fn overflowed_trace_decodes_to_prefixes() {
                 "seed {seed}: decoder reports overflow but no stream carries OVF"
             );
         }
+    }
+}
+
+/// Feeds `cores` to every decode entry point: the packet parser, a cold
+/// decode, and a decode through a fresh and then a warm cache shard. Each
+/// must return `Ok` or `Err` without panicking, and the cached results
+/// must equal the cold one.
+fn decode_every_way(program: &Program, cores: &[Vec<u8>]) {
+    for bytes in cores {
+        let _ = Packet::decode_all(bytes);
+    }
+    let cold = decoder::decode(program, cores);
+    let cache = DecodeCache::new();
+    let mut shard = cache.shard();
+    let fresh = decoder::decode_with_shard(program, cores, &mut shard);
+    let warm = decoder::decode_with_shard(program, cores, &mut shard);
+    assert_eq!(fresh, cold, "cache-filling decode differs from cold decode");
+    assert_eq!(warm, cold, "warm-cache decode differs from cold decode");
+}
+
+/// Bytes drawn mostly from the packet tags and their common payload bytes,
+/// so the parser gets past the first byte far more often than on uniform
+/// noise.
+fn soup_byte() -> impl Strategy<Value = u8> {
+    prop_oneof![
+        0u8..=255,
+        0x80u8..=0xff, // TNT
+        Just(0x02),    // PSB
+        Just(0x82),
+        Just(0x43), // PIP
+        Just(0x00),
+        Just(0x11), // PGE
+        Just(0x01), // PGD
+        Just(0x0d), // TIP
+        Just(0x1d), // FUP
+        Just(0x66), // OVF
+    ]
+}
+
+/// Any packet, with statement ids and tids from the whole `u32` range as
+/// often as from the program's own small range.
+fn wild_packet() -> impl Strategy<Value = Packet> {
+    let ip = || prop_oneof![0u32..64, 0u32..=u32::MAX].prop_map(InstrId);
+    prop_oneof![
+        Just(Packet::Psb),
+        prop_oneof![0u32..4, 0u32..=u32::MAX].prop_map(|tid| Packet::Pip { tid }),
+        ip().prop_map(|ip| Packet::Pge { ip }),
+        ip().prop_map(|ip| Packet::Pgd { ip }),
+        proptest::collection::vec((0u32..2).prop_map(|b| b == 1), 1..TNT_CAPACITY + 1)
+            .prop_map(|bits| Packet::Tnt { bits }),
+        ip().prop_map(|ip| Packet::Tip { ip }),
+        ip().prop_map(|ip| Packet::Fup { ip }),
+        Just(Packet::Ovf),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1_000))]
+
+    /// Arbitrary bytes on one to four cores.
+    #[test]
+    fn decoders_never_panic_on_byte_soup(
+        program_seed in 0u64..40,
+        cores in proptest::collection::vec(proptest::collection::vec(soup_byte(), 0..160), 1..5),
+    ) {
+        decode_every_way(&random_program(program_seed), &cores);
+    }
+
+    /// Well-formed packet streams: a real trace of a random program with
+    /// a few packets replaced, inserted or deleted, the new ones naming
+    /// statements and threads that may not exist.
+    #[test]
+    fn decoders_never_panic_on_out_of_range_packets(
+        program_seed in 0u64..40,
+        sched_seed in 0u64..1_000,
+        edits in proptest::collection::vec((0usize..1_000, 0u8..3, wild_packet()), 1..6),
+    ) {
+        let program = random_program(program_seed);
+        let cfg = VmConfig {
+            scheduler: SchedulerKind::Random { seed: sched_seed, preempt: 0.5 },
+            max_steps: 50_000,
+            ..VmConfig::default()
+        };
+        let mut tracer = PtTracer::new(&program, PtDriver::always_on(), PtConfig::default());
+        Vm::new(&program, cfg).run(&mut [&mut tracer]);
+        tracer.finish();
+        let mut streams: Vec<Vec<Packet>> = tracer
+            .take_traces()
+            .iter()
+            .map(|bytes| Packet::decode_all(bytes).expect("tracer output parses"))
+            .collect();
+        for (i, (at, op, packet)) in edits.into_iter().enumerate() {
+            let n = streams.len();
+            let stream = &mut streams[i % n];
+            let at = at % (stream.len() + 1);
+            match op {
+                0 if at < stream.len() => stream[at] = packet,
+                1 if at < stream.len() => {
+                    stream.remove(at);
+                }
+                _ => stream.insert(at, packet),
+            }
+        }
+        let cores: Vec<Vec<u8>> = streams
+            .iter()
+            .map(|packets| {
+                let mut buf = BytesMut::new();
+                for p in packets {
+                    p.encode(&mut buf);
+                }
+                buf.to_vec()
+            })
+            .collect();
+        decode_every_way(&program, &cores);
     }
 }
