@@ -4,18 +4,21 @@
 //! straight-line code and direct branches are followed from the binary
 //! alone; each conditional branch consumes one TNT bit; each indirect
 //! transfer consumes a TIP packet; compressed RETs pop the decoder's own
-//! call stack. This module does exactly that over MiniC programs.
+//! call stack. This module does exactly that over MiniC programs, reading
+//! each statement's successors from the program's shared lowering
+//! ([`CompiledProgram::flow`]) rather than re-resolving the IR per step.
 //!
 //! The output of decoding is what Gist's refinement step consumes: the set
 //! (and per-core sequence) of statements that *actually executed* during
 //! the traced windows (paper §3.2.2: "control flow traces identify
 //! statements that get executed during production runs").
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex};
 
-use gist_ir::{Callee, InstrId, Op, Program, Terminator};
+use gist_ir::{InstrId, Program};
+use gist_vm::{CompiledProgram, StmtFlow};
 
 use crate::packet::Packet;
 
@@ -97,15 +100,20 @@ struct Walker {
     last_emitted: Option<InstrId>,
 }
 
+/// One core's walkers by tid (threads never migrate cores). A `BTreeMap`:
+/// cores carry a handful of threads, and iteration comes out sorted for
+/// [`StateSnapshot`].
+type Walkers = BTreeMap<u32, Walker>;
+
 /// Applies a run of packets to the decoder state, emitting statements into
 /// `core_seq` and branches into `out`. This is the core-decode inner loop,
 /// shared between the cold path and per-segment cache misses.
 fn apply_packets(
-    program: &Program,
+    code: &CompiledProgram,
     packets: &[Packet],
     out: &mut DecodedTrace,
     core_seq: &mut Vec<(u32, InstrId)>,
-    walkers: &mut HashMap<u32, Walker>,
+    walkers: &mut Walkers,
     current: &mut Option<u32>,
 ) -> Result<(), DecodeError> {
     for p in packets {
@@ -131,18 +139,17 @@ fn apply_packets(
                 let tid = (*current).ok_or_else(|| DecodeError::Desync {
                     what: "TNT before any PIP".into(),
                 })?;
+                let w = walkers.entry(tid).or_default();
                 for &taken in bits {
-                    let condbr = walk_to_need(program, walkers, tid, core_seq, Need::Tnt)?;
+                    let condbr = walk_to_need(code, w, tid, core_seq, Need::Tnt)?;
                     out.branches.push((tid, condbr, taken));
-                    let w = walkers.get_mut(&tid).expect("walker exists");
-                    let target = match program.terminator(condbr) {
-                        Some(Terminator::CondBr {
-                            then_bb, else_bb, ..
-                        }) => {
-                            let pos = program.stmt_pos(condbr).expect("known stmt");
-                            let f = program.function(pos.func);
-                            let bb = if taken { *then_bb } else { *else_bb };
-                            first_stmt_of_block(program, f.id, bb)
+                    let target = match code.flow(condbr) {
+                        StmtFlow::CondBr { then_to, else_to } => {
+                            if taken {
+                                then_to
+                            } else {
+                                else_to
+                            }
                         }
                         _ => {
                             return Err(DecodeError::Desync {
@@ -157,21 +164,11 @@ fn apply_packets(
                 let tid = (*current).ok_or_else(|| DecodeError::Desync {
                     what: "TIP before any PIP".into(),
                 })?;
-                let at = walk_to_need(program, walkers, tid, core_seq, Need::Tip)?;
-                let w = walkers.get_mut(&tid).expect("walker exists");
+                let w = walkers.entry(tid).or_default();
+                let at = walk_to_need(code, w, tid, core_seq, Need::Tip)?;
                 // An indirect call pushes its return site before jumping.
-                if let Some(instr) = program.instr(at) {
-                    if matches!(
-                        instr.op,
-                        Op::Call {
-                            callee: Callee::Indirect(_),
-                            ..
-                        }
-                    ) {
-                        if let Some(after) = stmt_after(program, at) {
-                            w.stack.push(after);
-                        }
-                    }
+                if let StmtFlow::IndirectCall { ret_to } = code.flow(at) {
+                    w.stack.push(ret_to);
                 }
                 w.pos = Some(*ip);
             }
@@ -179,8 +176,8 @@ fn apply_packets(
                 let tid = (*current).ok_or_else(|| DecodeError::Desync {
                     what: "PGD/FUP before any PIP".into(),
                 })?;
-                walk_until_ip(program, walkers, tid, core_seq, *ip)?;
-                let w = walkers.get_mut(&tid).expect("walker exists");
+                let w = walkers.entry(tid).or_default();
+                walk_until_ip(code, w, tid, core_seq, *ip)?;
                 w.pos = None;
             }
         }
@@ -190,17 +187,16 @@ fn apply_packets(
 
 /// Decodes one core's byte stream, cache-cold.
 fn decode_core(
-    program: &Program,
+    code: &CompiledProgram,
     bytes: &[u8],
     out: &mut DecodedTrace,
     core_seq: &mut Vec<(u32, InstrId)>,
 ) -> Result<(), DecodeError> {
     let packets = Packet::decode_all(bytes).map_err(DecodeError::BadBytes)?;
     gist_obs::counter!("pt.packets_decoded").add(packets.len() as u64);
-    // Walkers are per (core, tid); threads never migrate cores.
-    let mut walkers: HashMap<u32, Walker> = HashMap::new();
+    let mut walkers = Walkers::new();
     let mut current: Option<u32> = None;
-    apply_packets(program, &packets, out, core_seq, &mut walkers, &mut current)
+    apply_packets(code, &packets, out, core_seq, &mut walkers, &mut current)
 }
 
 /// Decoder state at a segment boundary: which thread the core's stream is
@@ -211,12 +207,10 @@ struct StateSnapshot {
     walkers: Vec<(u32, Walker)>,
 }
 
-fn snapshot(walkers: &HashMap<u32, Walker>, current: Option<u32>) -> StateSnapshot {
-    let mut ws: Vec<(u32, Walker)> = walkers.iter().map(|(&t, w)| (t, w.clone())).collect();
-    ws.sort_unstable_by_key(|&(t, _)| t);
+fn snapshot(walkers: &Walkers, current: Option<u32>) -> StateSnapshot {
     StateSnapshot {
         current,
-        walkers: ws,
+        walkers: walkers.iter().map(|(&t, w)| (t, w.clone())).collect(),
     }
 }
 
@@ -392,7 +386,7 @@ fn segment_hash(fingerprint: u64, entry_state: &StateSnapshot, seg_bytes: &[u8])
 
 /// Decodes one core's byte stream through a segment-cache shard.
 fn decode_core_cached(
-    program: &Program,
+    code: &CompiledProgram,
     bytes: &[u8],
     out: &mut DecodedTrace,
     core_seq: &mut Vec<(u32, InstrId)>,
@@ -400,8 +394,8 @@ fn decode_core_cached(
 ) -> Result<(), DecodeError> {
     let packets = Packet::decode_all(bytes).map_err(DecodeError::BadBytes)?;
     gist_obs::counter!("pt.packets_decoded").add(packets.len() as u64);
-    let fingerprint = program.fingerprint();
-    let mut walkers: HashMap<u32, Walker> = HashMap::new();
+    let fingerprint = code.source_fingerprint();
+    let mut walkers = Walkers::new();
     let mut current: Option<u32> = None;
     // Byte offset of each packet, so segments key on their raw bytes.
     let mut offsets = Vec::with_capacity(packets.len() + 1);
@@ -450,7 +444,7 @@ fn decode_core_cached(
         let seq0 = core_seq.len();
         let br0 = out.branches.len();
         apply_packets(
-            program,
+            code,
             &packets[p0..p1],
             out,
             core_seq,
@@ -518,12 +512,13 @@ fn decode_inner(
     gist_obs::counter!("pt.decodes").inc();
     gist_obs::counter!("pt.bytes_decoded")
         .add(core_bytes.iter().map(|b| b.len() as u64).sum::<u64>());
+    let code = CompiledProgram::shared(program);
     let mut out = DecodedTrace::default();
     for (core, bytes) in core_bytes.iter().enumerate() {
         let mut seq = Vec::new();
         match shard.as_deref_mut() {
-            Some(s) => decode_core_cached(program, bytes, &mut out, &mut seq, s)?,
-            None => decode_core(program, bytes, &mut out, &mut seq)?,
+            Some(s) => decode_core_cached(&code, bytes, &mut out, &mut seq, s)?,
+            None => decode_core(&code, bytes, &mut out, &mut seq)?,
         }
         // One journal event per core buffer, recorded after the decode so
         // the payload is identical whether the segment cache hit or missed
@@ -545,13 +540,12 @@ fn decode_inner(
 /// statement that needs the given packet kind. Returns that statement
 /// (also emitted).
 fn walk_to_need(
-    program: &Program,
-    walkers: &mut HashMap<u32, Walker>,
+    code: &CompiledProgram,
+    w: &mut Walker,
     tid: u32,
     seq: &mut Vec<(u32, InstrId)>,
     need: Need,
 ) -> Result<InstrId, DecodeError> {
-    let w = walkers.entry(tid).or_default();
     let mut guard = 0usize;
     loop {
         let pos = w.pos.ok_or_else(|| DecodeError::Desync {
@@ -563,7 +557,7 @@ fn walk_to_need(
                 what: "walker did not reach a decision point".into(),
             });
         }
-        match classify(program, pos, &mut w.stack) {
+        match classify(code, pos, &mut w.stack) {
             Step::Plain(next) => {
                 seq.push((tid, pos));
                 w.last_emitted = Some(pos);
@@ -600,13 +594,12 @@ fn walk_to_need(
 
 /// Advances the walker, emitting statements, until `ip` is emitted.
 fn walk_until_ip(
-    program: &Program,
-    walkers: &mut HashMap<u32, Walker>,
+    code: &CompiledProgram,
+    w: &mut Walker,
     tid: u32,
     seq: &mut Vec<(u32, InstrId)>,
     ip: InstrId,
 ) -> Result<(), DecodeError> {
-    let w = walkers.entry(tid).or_default();
     // The window may close immediately after a consumed decision point; the
     // PGD/FUP ip then names the statement the walker just emitted.
     if w.last_emitted == Some(ip) {
@@ -630,7 +623,7 @@ fn walk_until_ip(
                 what: format!("never reached PGD/FUP ip {ip}"),
             });
         }
-        match classify(program, pos, &mut w.stack) {
+        match classify(code, pos, &mut w.stack) {
             Step::Plain(next) => w.pos = Some(next),
             Step::End | Step::NeedTnt | Step::NeedTip => {
                 return Err(DecodeError::Desync {
@@ -655,79 +648,20 @@ enum Step {
     End,
 }
 
-fn classify(program: &Program, pos: InstrId, stack: &mut Vec<InstrId>) -> Step {
-    if let Some(instr) = program.instr(pos) {
-        match &instr.op {
-            Op::Call {
-                callee: Callee::Direct(f),
-                ..
-            } => {
-                if let Some(after) = stmt_after(program, pos) {
-                    stack.push(after);
-                }
-                Step::Plain(entry_stmt(program, *f))
-            }
-            Op::Call {
-                callee: Callee::Indirect(_),
-                ..
-            } => Step::NeedTip,
-            _ => match stmt_after(program, pos) {
-                Some(next) => Step::Plain(next),
-                None => Step::End,
-            },
+fn classify(code: &CompiledProgram, pos: InstrId, stack: &mut Vec<InstrId>) -> Step {
+    match code.flow(pos) {
+        StmtFlow::Next(next) => Step::Plain(next),
+        StmtFlow::Call { entry, ret_to } => {
+            stack.push(ret_to);
+            Step::Plain(entry)
         }
-    } else if let Some(term) = program.terminator(pos) {
-        match term {
-            Terminator::Br { target, .. } => {
-                let p = program.stmt_pos(pos).expect("known stmt");
-                Step::Plain(first_stmt_of_block(program, p.func, *target))
-            }
-            Terminator::CondBr { .. } => Step::NeedTnt,
-            Terminator::Ret { .. } => match stack.pop() {
-                Some(site) => Step::Plain(site),
-                None => Step::NeedTip,
-            },
-            Terminator::Unreachable { .. } => Step::End,
-        }
-    } else {
-        Step::End
-    }
-}
-
-/// The first statement of a function's entry block.
-fn entry_stmt(program: &Program, f: gist_ir::FuncId) -> InstrId {
-    let func = program.function(f);
-    let b = func.block(func.entry());
-    b.instrs
-        .first()
-        .map(|i| i.id)
-        .unwrap_or_else(|| b.term.id())
-}
-
-/// The first statement of a block.
-fn first_stmt_of_block(program: &Program, f: gist_ir::FuncId, b: gist_ir::BlockId) -> InstrId {
-    let block = program.function(f).block(b);
-    block
-        .instrs
-        .first()
-        .map(|i| i.id)
-        .unwrap_or_else(|| block.term.id())
-}
-
-/// The statement after `pos` within its block (terminator if last).
-fn stmt_after(program: &Program, pos: InstrId) -> Option<InstrId> {
-    let p = program.stmt_pos(pos)?;
-    let block = program.function(p.func).block(p.block);
-    if p.index < block.instrs.len() {
-        Some(
-            block
-                .instrs
-                .get(p.index + 1)
-                .map(|i| i.id)
-                .unwrap_or_else(|| block.term.id()),
-        )
-    } else {
-        None
+        StmtFlow::IndirectCall { .. } => Step::NeedTip,
+        StmtFlow::CondBr { .. } => Step::NeedTnt,
+        StmtFlow::Ret => match stack.pop() {
+            Some(site) => Step::Plain(site),
+            None => Step::NeedTip,
+        },
+        StmtFlow::End => Step::End,
     }
 }
 
