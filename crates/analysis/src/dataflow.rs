@@ -29,12 +29,34 @@
 //! (the verifier's GA003 enforces def-dominates-use), so constantness is
 //! a property of the register, not the program point, and a worklist over
 //! defs converges without per-point fact maps.
+//!
+//! # Cost
+//!
+//! Reaching definitions and memory liveness run once per diagnosed
+//! program (the SVFG and the dead-store set), so on small programs they
+//! are a fixed per-diagnosis cost. Both are cheap by construction:
+//!
+//! * [`solve`] keeps the solution in two `Vec`s indexed by `InstrId`
+//!   (statement ids are dense, `0..Program::stmt_count`) and tracks
+//!   worklist membership in a `Vec<bool>`; each visit rebuilds the
+//!   statement's input in place and its output in one reused scratch
+//!   fact.
+//! * Their facts are [`BitSet`]s: over statement ids for
+//!   [`ReachingDefs`], over the program's read cells (interned once) for
+//!   [`MemLiveness`]. Gen and kill sets are precomputed per statement from
+//!   the points-to result, so a transfer is a few word operations and
+//!   never allocates; [`dead_stores`] intersects each store's
+//!   [`MemLiveness::overlap_mask`] with the live set after it.
+//!
+//! `tests/dataflow_oracle.rs` checks both against a naive `BTreeSet`
+//! fixpoint on every paper bug and on seeded synthetic programs.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use gist_ir::icfg::Ticfg;
 use gist_ir::{BinKind, FuncId, InstrId, Op, Operand, Program, Terminator, Value, VarId};
 
+use crate::bitset::{BitSet, StmtSet};
 use crate::points_to::{Loc, LocSet, PointsTo};
 
 /// Which way facts flow through the TICFG.
@@ -76,31 +98,37 @@ pub trait DataflowAnalysis {
 /// The fixpoint of a dataflow problem: one fact before and one after each
 /// statement, in *program* order regardless of analysis direction.
 pub struct Solution<F> {
-    before: HashMap<InstrId, F>,
-    after: HashMap<InstrId, F>,
+    /// Indexed by `InstrId`: statement ids are dense (`0..stmt_count`).
+    before: Vec<F>,
+    after: Vec<F>,
     bottom: F,
 }
 
 impl<F> Solution<F> {
     /// The fact holding just before `id` executes.
     pub fn before(&self, id: InstrId) -> &F {
-        self.before.get(&id).unwrap_or(&self.bottom)
+        self.before.get(id.index()).unwrap_or(&self.bottom)
     }
 
     /// The fact holding just after `id` executes.
     pub fn after(&self, id: InstrId) -> &F {
-        self.after.get(&id).unwrap_or(&self.bottom)
+        self.after.get(id.index()).unwrap_or(&self.bottom)
     }
 }
 
 /// Runs the worklist solver for `analysis` over the whole TICFG.
+///
+/// Every statement starts at bottom and on the worklist; a statement's
+/// flow-successors are requeued only when its output changes. Each visit
+/// recomputes the input in place and the output into one scratch fact
+/// (`clone_from` reuses buffers), so a bitset problem solves without
+/// per-visit allocation.
 pub fn solve<A: DataflowAnalysis>(
     program: &Program,
     ticfg: &Ticfg,
     analysis: &A,
 ) -> Solution<A::Fact> {
     let forward = analysis.direction() == Direction::Forward;
-    let nodes: Vec<InstrId> = program.all_stmt_ids().collect();
     // The program entry's first statement is always a boundary node in
     // forward problems, even if a back edge points at it.
     let entry_stmt = program
@@ -109,62 +137,47 @@ pub fn solve<A: DataflowAnalysis>(
         .and_then(|f| f.blocks.first())
         .map(|b| b.stmt_ids().next().expect("block has a terminator"));
 
-    let mut before: HashMap<InstrId, A::Fact> = HashMap::new();
-    let mut after: HashMap<InstrId, A::Fact> = HashMap::new();
+    let bottom = analysis.bottom();
+    let boundary = analysis.boundary();
+    let n = program.stmt_count();
+    let mut before = vec![bottom.clone(); n];
+    let mut after = vec![bottom.clone(); n];
     let mut work: VecDeque<InstrId> = if forward {
-        nodes.iter().copied().collect()
+        program.all_stmt_ids().collect()
     } else {
-        nodes.iter().rev().copied().collect()
+        let mut ids: VecDeque<InstrId> = program.all_stmt_ids().collect();
+        ids.make_contiguous().reverse();
+        ids
     };
-    let mut queued: BTreeSet<InstrId> = nodes.iter().copied().collect();
+    let mut queued = vec![true; n];
+    let mut output = bottom.clone();
 
-    while let Some(n) = work.pop_front() {
-        queued.remove(&n);
+    while let Some(node) = work.pop_front() {
+        queued[node.index()] = false;
         // Input fact: join over flow-predecessors' outputs, plus the
         // boundary fact at boundary nodes.
-        let flow_preds = if forward {
-            ticfg.preds(n)
+        let (flow_preds, flow_succs) = if forward {
+            (ticfg.preds(node), ticfg.succs(node))
         } else {
-            ticfg.succs(n)
+            (ticfg.succs(node), ticfg.preds(node))
         };
-        let is_boundary = if forward {
-            flow_preds.is_empty() || Some(n) == entry_stmt
-        } else {
-            flow_preds.is_empty()
-        };
-        let mut input = if is_boundary {
-            analysis.boundary()
-        } else {
-            analysis.bottom()
-        };
-        for &(p, _) in flow_preds {
-            let out = if forward {
-                after.get(&p)
-            } else {
-                before.get(&p)
-            };
-            if let Some(out) = out {
-                analysis.join(&mut input, out);
-            }
-        }
-        let mut output = input.clone();
-        analysis.transfer(program, n, &mut output);
-        let (in_map, out_map) = if forward {
+        let is_boundary = flow_preds.is_empty() || (forward && Some(node) == entry_stmt);
+        let (in_facts, out_facts) = if forward {
             (&mut before, &mut after)
         } else {
             (&mut after, &mut before)
         };
-        in_map.insert(n, input);
-        let changed = out_map.get(&n) != Some(&output);
-        if changed {
-            out_map.insert(n, output);
-            let flow_succs = if forward {
-                ticfg.succs(n)
-            } else {
-                ticfg.preds(n)
-            };
+        let input = &mut in_facts[node.index()];
+        input.clone_from(if is_boundary { &boundary } else { &bottom });
+        for &(p, _) in flow_preds {
+            analysis.join(input, &out_facts[p.index()]);
+        }
+        output.clone_from(input);
+        analysis.transfer(program, node, &mut output);
+        if output != out_facts[node.index()] {
+            std::mem::swap(&mut out_facts[node.index()], &mut output);
             for &(s, _) in flow_succs {
-                if queued.insert(s) {
+                if !std::mem::replace(&mut queued[s.index()], true) {
                     work.push_back(s);
                 }
             }
@@ -173,7 +186,7 @@ pub fn solve<A: DataflowAnalysis>(
     Solution {
         before,
         after,
-        bottom: analysis.bottom(),
+        bottom,
     }
 }
 
@@ -231,72 +244,99 @@ pub fn live_variables(program: &Program, ticfg: &Ticfg) -> Solution<VarSet> {
     solve(program, ticfg, &Liveness)
 }
 
+/// The single concrete cell a store to `addr` certainly writes, if the
+/// points-to set of `addr` is exactly one cell at a known offset: such a
+/// store is a strong update of that cell.
+fn strong_target(pts: &PointsTo, func: FuncId, addr: Operand) -> Option<Loc> {
+    let targets = pts.operand_origins(func, addr);
+    match (targets.len(), targets.first()) {
+        (1, Some(&only)) if only.offset.is_some() => Some(only),
+        _ => None,
+    }
+}
+
 /// Forward reaching definitions: which defining statements (register defs
 /// and memory writes) may have produced the values visible at a point.
 ///
 /// Register defs are never killed — MiniC is SSA, so a register's one def
 /// reaches every use it dominates. Stores are killed strongly when a later
 /// store certainly overwrites the same single concrete cell.
+///
+/// The fact is a [`StmtSet`]; the transfer function reads two tables
+/// precomputed here, so a visit is a mask subtraction and one bit set.
 pub struct ReachingDefs {
-    /// Store statements whose points-to target is one concrete cell.
-    strong: BTreeMap<InstrId, Loc>,
+    /// Statement count: the fact universe.
+    stmts: usize,
+    /// Per statement: does it define something this analysis tracks?
+    is_def: Vec<bool>,
+    /// Per statement: for a strong store, its index into `kills`.
+    kill_of: Vec<Option<usize>>,
+    /// One mask per strongly updated cell: every strong store to it. A
+    /// strong store subtracts its cell's mask and then adds itself back,
+    /// which kills exactly the *other* strong stores to the cell.
+    kills: Vec<StmtSet>,
 }
 
 impl ReachingDefs {
-    /// Precomputes the strong-update map from the points-to result.
+    /// Precomputes the def table and the strong-update kill masks from the
+    /// points-to result.
     pub fn new(program: &Program, pts: &PointsTo) -> Self {
-        let mut strong = BTreeMap::new();
+        let stmts = program.stmt_count();
+        let mut is_def = vec![false; stmts];
+        let mut kill_of = vec![None; stmts];
+        let mut kills: Vec<StmtSet> = Vec::new();
+        let mut cell_mask: BTreeMap<Loc, usize> = BTreeMap::new();
         for f in &program.functions {
             for b in &f.blocks {
                 for instr in &b.instrs {
-                    if let Op::Store { addr, .. } = &instr.op {
-                        let targets = pts.operand_origins(f.id, *addr);
-                        if targets.len() == 1 {
-                            let only = *targets.iter().next().expect("len checked");
-                            if only.offset.is_some() {
-                                strong.insert(instr.id, only);
-                            }
-                        }
+                    let op = &instr.op;
+                    is_def[instr.id.index()] =
+                        op.def().is_some() || matches!(op, Op::Store { .. } | Op::Free { .. });
+                    let Op::Store { addr, .. } = op else {
+                        continue;
+                    };
+                    if let Some(cell) = strong_target(pts, f.id, *addr) {
+                        let k = *cell_mask.entry(cell).or_insert_with(|| {
+                            kills.push(StmtSet::new(stmts));
+                            kills.len() - 1
+                        });
+                        kills[k].insert(instr.id);
+                        kill_of[instr.id.index()] = Some(k);
                     }
                 }
             }
         }
-        ReachingDefs { strong }
-    }
-
-    /// True if `id` is a definition this analysis tracks.
-    fn is_def(op: &Op) -> bool {
-        op.def().is_some() || matches!(op, Op::Store { .. } | Op::Free { .. })
+        ReachingDefs {
+            stmts,
+            is_def,
+            kill_of,
+            kills,
+        }
     }
 }
 
 impl DataflowAnalysis for ReachingDefs {
-    type Fact = BTreeSet<InstrId>;
+    type Fact = StmtSet;
 
     fn direction(&self) -> Direction {
         Direction::Forward
     }
 
-    fn bottom(&self) -> BTreeSet<InstrId> {
-        BTreeSet::new()
+    fn bottom(&self) -> StmtSet {
+        StmtSet::new(self.stmts)
     }
 
-    fn join(&self, into: &mut BTreeSet<InstrId>, from: &BTreeSet<InstrId>) -> bool {
-        let n = into.len();
-        into.extend(from.iter().copied());
-        into.len() != n
+    fn join(&self, into: &mut StmtSet, from: &StmtSet) -> bool {
+        into.union_with(from)
     }
 
-    fn transfer(&self, program: &Program, id: InstrId, fact: &mut BTreeSet<InstrId>) {
-        let Some(instr) = program.instr(id) else {
-            return;
-        };
-        if let Some(cell) = self.strong.get(&id) {
-            // This store certainly hits `cell`: earlier stores that could
+    fn transfer(&self, _program: &Program, id: InstrId, fact: &mut StmtSet) {
+        if let Some(&Some(k)) = self.kill_of.get(id.index()) {
+            // This store certainly hits its cell: earlier stores that could
             // only have written that same cell are overwritten for sure.
-            fact.retain(|d| *d == id || self.strong.get(d) != Some(cell));
+            fact.subtract(&self.kills[k]);
         }
-        if Self::is_def(&instr.op) {
+        if self.is_def.get(id.index()) == Some(&true) {
             fact.insert(id);
         }
     }
@@ -304,78 +344,132 @@ impl DataflowAnalysis for ReachingDefs {
 
 /// Solves reaching definitions; `before(failing)` is the def set the
 /// sketch builder prunes against.
-pub fn reaching_definitions(
-    program: &Program,
-    ticfg: &Ticfg,
-    pts: &PointsTo,
-) -> Solution<BTreeSet<InstrId>> {
+pub fn reaching_definitions(program: &Program, ticfg: &Ticfg, pts: &PointsTo) -> Solution<StmtSet> {
     solve(program, ticfg, &ReachingDefs::new(program, pts))
 }
 
 /// Backward liveness of abstract memory cells: a cell is live at a point
 /// if some path from there may still read it (a `load`, a `free`, a
 /// `lock`/`unlock`, or an intrinsic walking the allocation).
-pub struct MemLiveness<'a> {
-    pts: &'a PointsTo,
+///
+/// The fact is a bitset over the abstract locations the program may read,
+/// interned once here. Each statement's gen set and strong kill are
+/// precomputed, so `transfer` never consults the points-to result.
+pub struct MemLiveness {
+    /// Interned locations: every cell some statement may read, numbered
+    /// in `Loc` order.
+    locs: BTreeMap<Loc, usize>,
+    /// Per statement: the cells it reads, if any.
+    gen: Vec<Option<BitSet>>,
+    /// Per statement: for a strong store, the interned cell it overwrites
+    /// (a cell nothing reads is never live, so it needs no kill).
+    kill: Vec<Option<usize>>,
 }
 
-impl<'a> MemLiveness<'a> {
-    /// Builds the problem over a points-to result.
-    pub fn new(pts: &'a PointsTo) -> Self {
-        MemLiveness { pts }
+impl MemLiveness {
+    /// Interns the read cells and precomputes gen/kill from a points-to
+    /// result.
+    pub fn new(program: &Program, pts: &PointsTo) -> Self {
+        let stmts = program.stmt_count();
+        let mut reads: Vec<(InstrId, LocSet)> = Vec::new();
+        let mut stores: Vec<(InstrId, Loc)> = Vec::new();
+        for f in &program.functions {
+            for b in &f.blocks {
+                for instr in &b.instrs {
+                    match &instr.op {
+                        Op::Load { addr, .. }
+                        | Op::Free { addr }
+                        | Op::MutexLock { addr }
+                        | Op::MutexUnlock { addr } => {
+                            reads.push((instr.id, pts.operand_origins(f.id, *addr)));
+                        }
+                        Op::Intrinsic { args, .. } => {
+                            // strlen/memcpy/memset walk whole allocations;
+                            // keep every cell they may touch live.
+                            let cells = args
+                                .iter()
+                                .flat_map(|a| pts.operand_origins(f.id, *a))
+                                .map(|loc| Loc::anywhere(loc.origin))
+                                .collect();
+                            reads.push((instr.id, cells));
+                        }
+                        Op::Store { addr, .. } => {
+                            if let Some(cell) = strong_target(pts, f.id, *addr) {
+                                stores.push((instr.id, cell));
+                            }
+                        }
+                        _ => {}
+                    }
+                }
+            }
+        }
+        let all: LocSet = reads.iter().flat_map(|(_, s)| s.iter().copied()).collect();
+        let locs: BTreeMap<Loc, usize> = all.into_iter().zip(0..).collect();
+        let mut gen = vec![None; stmts];
+        for (id, cells) in reads {
+            let mut set = BitSet::new(locs.len());
+            for cell in &cells {
+                set.insert(locs[cell]);
+            }
+            gen[id.index()] = Some(set);
+        }
+        let mut kill = vec![None; stmts];
+        for (id, cell) in stores {
+            kill[id.index()] = locs.get(&cell).copied();
+        }
+        MemLiveness { locs, gen, kill }
+    }
+
+    /// The locations a fact of this problem holds.
+    pub fn loc_set(&self, fact: &BitSet) -> LocSet {
+        self.locs
+            .iter()
+            .filter(|&(_, &i)| fact.contains(i))
+            .map(|(&loc, _)| loc)
+            .collect()
+    }
+
+    /// The interned cells that may denote the same cell as some location
+    /// in `targets` (see [`Loc::overlaps`]).
+    pub fn overlap_mask(&self, targets: &LocSet) -> BitSet {
+        let mut mask = BitSet::new(self.locs.len());
+        for t in targets {
+            // `Loc` orders by origin first, and the unknown offset sorts
+            // before every known one: this range is exactly t's origin.
+            for (loc, &i) in self
+                .locs
+                .range(Loc::anywhere(t.origin)..)
+                .take_while(|(loc, _)| loc.origin == t.origin)
+            {
+                if loc.overlaps(t) {
+                    mask.insert(i);
+                }
+            }
+        }
+        mask
     }
 }
 
-impl DataflowAnalysis for MemLiveness<'_> {
-    type Fact = LocSet;
+impl DataflowAnalysis for MemLiveness {
+    type Fact = BitSet;
 
     fn direction(&self) -> Direction {
         Direction::Backward
     }
 
-    fn bottom(&self) -> LocSet {
-        LocSet::new()
+    fn bottom(&self) -> BitSet {
+        BitSet::new(self.locs.len())
     }
 
-    fn join(&self, into: &mut LocSet, from: &LocSet) -> bool {
-        let n = into.len();
-        into.extend(from.iter().copied());
-        into.len() != n
+    fn join(&self, into: &mut BitSet, from: &BitSet) -> bool {
+        into.union_with(from)
     }
 
-    fn transfer(&self, program: &Program, id: InstrId, fact: &mut LocSet) {
-        let Some(func) = program.stmt_func(id) else {
-            return;
-        };
-        let Some(instr) = program.instr(id) else {
-            return;
-        };
-        match &instr.op {
-            Op::Load { addr, .. }
-            | Op::Free { addr }
-            | Op::MutexLock { addr }
-            | Op::MutexUnlock { addr } => {
-                fact.extend(self.pts.operand_origins(func, *addr));
-            }
-            Op::Intrinsic { args, .. } => {
-                // strlen/memcpy/memset walk whole allocations; keep every
-                // cell they may touch live.
-                for a in args {
-                    for loc in self.pts.operand_origins(func, *a) {
-                        fact.insert(Loc::anywhere(loc.origin));
-                    }
-                }
-            }
-            Op::Store { addr, .. } => {
-                let targets = self.pts.operand_origins(func, *addr);
-                if targets.len() == 1 {
-                    let only = *targets.iter().next().expect("len checked");
-                    if only.offset.is_some() {
-                        fact.remove(&only);
-                    }
-                }
-            }
-            _ => {}
+    fn transfer(&self, _program: &Program, id: InstrId, fact: &mut BitSet) {
+        if let Some(Some(gen)) = self.gen.get(id.index()) {
+            fact.union_with(gen);
+        } else if let Some(&Some(cell)) = self.kill.get(id.index()) {
+            fact.remove(cell);
         }
     }
 }
@@ -384,7 +478,8 @@ impl DataflowAnalysis for MemLiveness<'_> {
 /// free, lock, or intrinsic on any TICFG path may touch any cell the
 /// store may write. Watchpoints on these are wasted debug registers.
 pub fn dead_stores(program: &Program, ticfg: &Ticfg, pts: &PointsTo) -> BTreeSet<InstrId> {
-    let live = solve(program, ticfg, &MemLiveness::new(pts));
+    let problem = MemLiveness::new(program, pts);
+    let live = solve(program, ticfg, &problem);
     let mut dead = BTreeSet::new();
     for f in &program.functions {
         for b in &f.blocks {
@@ -396,10 +491,9 @@ pub fn dead_stores(program: &Program, ticfg: &Ticfg, pts: &PointsTo) -> BTreeSet
                 if targets.is_empty() {
                     continue; // unknown address: keep it watchable
                 }
-                let live_after = live.after(instr.id);
-                if targets
-                    .iter()
-                    .all(|t| !live_after.iter().any(|l| l.overlaps(t)))
+                if !live
+                    .after(instr.id)
+                    .intersects(&problem.overlap_mask(&targets))
                 {
                     dead.insert(instr.id);
                 }
@@ -727,9 +821,9 @@ mod tests {
         let rd = reaching_definitions(&p, &ticfg, &pts);
         let ids: Vec<InstrId> = p.all_stmt_ids().collect();
         let at_load = rd.before(ids[2]);
-        assert!(at_load.contains(&ids[1]), "second store reaches the load");
+        assert!(at_load.contains(ids[1]), "second store reaches the load");
         assert!(
-            !at_load.contains(&ids[0]),
+            !at_load.contains(ids[0]),
             "first store is strongly killed: {at_load:?}"
         );
     }
@@ -763,8 +857,8 @@ mod tests {
         let store_else = p.functions[main.index()].blocks[2].instrs[0].id;
         let load = p.functions[main.index()].blocks[3].instrs[0].id;
         let at_load = rd.before(load);
-        assert!(at_load.contains(&store_then));
-        assert!(at_load.contains(&store_else));
+        assert!(at_load.contains(store_then));
+        assert!(at_load.contains(store_else));
     }
 
     #[test]

@@ -66,6 +66,7 @@
 //! server, the sketch engine and the planner, and the [`pass::Pass`]es run
 //! by a [`pass::PassManager`] all borrow the same instance.
 
+pub mod bitset;
 pub mod dataflow;
 pub mod deadlock;
 pub mod diag;
@@ -80,6 +81,7 @@ pub mod svfg;
 pub mod threads;
 pub mod verify;
 
+pub use bitset::{BitIndex, BitSet, StmtSet};
 pub use dataflow::{
     dead_stores, live_variables, reaching_definitions, solve, ConstProp, ConstVal,
     DataflowAnalysis, DeadStoreLintPass, Direction, Liveness, MemLiveness, ReachingDefs, Solution,

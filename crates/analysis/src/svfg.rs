@@ -42,6 +42,7 @@ use gist_ir::{
     BlockId, CmpKind, FuncId, GlobalId, InstrId, Op, Operand, Program, Terminator, Value, VarId,
 };
 
+use crate::bitset::StmtSet;
 use crate::dataflow::{reaching_definitions, ConstProp, ConstVal, Solution};
 use crate::pass::ProgramFacts;
 use crate::points_to::{LocSet, MemOrigin, PointsTo};
@@ -166,7 +167,7 @@ struct Builder<'a> {
     program: &'a Program,
     ticfg: &'a Ticfg,
     pts: &'a PointsTo,
-    rd: &'a Solution<BTreeSet<InstrId>>,
+    rd: &'a Solution<StmtSet>,
     feas: &'a Feasibility,
     shared: &'a BTreeSet<MemOrigin>,
     reg_defs: HashMap<(FuncId, VarId), Vec<InstrId>>,
@@ -239,7 +240,7 @@ impl Builder<'_> {
         let defs: Vec<InstrId> = self.reg_defs.get(&(fid, v)).cloned().unwrap_or_default();
         for d in defs {
             if d != s
-                && self.rd.before(s).contains(&d)
+                && self.rd.before(s).contains(d)
                 && self.feas.stmt_live(self.program, d)
                 && self.feas.intra_path_feasible(self.program, d, s)
             {
@@ -276,7 +277,7 @@ impl Builder<'_> {
             }
             if is_shared {
                 self.push(s, w, SvfgEdgeKind::Interleaved);
-            } else if self.rd.before(s).contains(&w)
+            } else if self.rd.before(s).contains(w)
                 && self.feas.intra_path_feasible(self.program, w, s)
             {
                 self.push(s, w, SvfgEdgeKind::Memory);

@@ -12,6 +12,8 @@
 //! `trace.start`, `slice.computed`, `ast.promoted`, `run.finish`,
 //! `watch.hit`, `pt.decoded`, `sketch.step`, `span.begin`, …
 
+use std::borrow::Cow;
+
 use crate::json::Json;
 
 /// The typed payload of one flight-recorder event.
@@ -174,13 +176,14 @@ pub enum EventKind {
     /// wall-clock span; carries no time — the Chrome export synthesizes
     /// timestamps from seq order.
     SpanBegin {
-        /// Full `/`-joined span path.
-        path: String,
+        /// Full `/`-joined span path: borrowed from the interned span
+        /// tree when recorded, owned when decoded.
+        path: Cow<'static, str>,
     },
     /// A span timer closed.
     SpanEnd {
         /// Full `/`-joined span path.
-        path: String,
+        path: Cow<'static, str>,
     },
 }
 
@@ -344,11 +347,8 @@ impl EventKind {
                     Json::Arr(provenance.iter().map(|&s| u(s)).collect()),
                 ),
             ]),
-            EventKind::SpanBegin { path } => {
-                Json::Obj(vec![("path".into(), Json::Str(path.clone()))])
-            }
-            EventKind::SpanEnd { path } => {
-                Json::Obj(vec![("path".into(), Json::Str(path.clone()))])
+            EventKind::SpanBegin { path } | EventKind::SpanEnd { path } => {
+                Json::Obj(vec![("path".into(), Json::Str(path.to_string()))])
             }
         }
     }

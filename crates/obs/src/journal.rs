@@ -6,10 +6,12 @@
 //! # Architecture
 //!
 //! ```text
-//! record()  ──► thread-local Vec (no lock)
+//! record()  ──► thread-local Vec (no lock, no allocation once warm)
 //!                  │ every FLUSH_EVERY events / flush_local() / thread exit
-//!                  ▼ encode to wire frames (varint, ~10–30 B/event)
-//!              bounded global ring of frames (brief mutex push)
+//!                  ▼ encode into the thread's reused flush buffer
+//!                  │ (wire frames, varint, ~10–50 B/event)
+//!                  ▼ append bytes + one (seq, end) entry per frame
+//!              bounded global ring of frames (brief mutex append)
 //!                  │                          │
 //!            drain() / drain_with_stats()   drain_since(cursor)
 //!            take-and-clear, seq-sorted     incremental tail, no clear
@@ -58,22 +60,22 @@ use std::collections::VecDeque;
 #[cfg(not(feature = "metrics-off"))]
 use std::sync::atomic::{AtomicU64, Ordering};
 #[cfg(not(feature = "metrics-off"))]
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 
 pub use crate::event::{EventKind, EventRecord, JournalEvent};
 use crate::json::Json;
 pub use crate::wire::JournalStats;
 
-/// Default ring capacity in frames. At typical frame sizes (10–30 bytes)
-/// a full ring costs ~20–30 MB; the full-bugbase bench records ~25k
-/// events, so overwrite only triggers on runaway loops — which now lose
-/// the *oldest* events with accounting instead of silently dropping the
-/// newest.
+/// Default ring capacity in frames. A frame costs its encoded bytes
+/// (10–50) plus a 16-byte index entry, so a full ring holds ~30–70 MB;
+/// the full-bugbase bench records ~25k events, so overwrite only triggers
+/// on runaway loops — which now lose the *oldest* events with accounting
+/// instead of silently dropping the newest.
 pub const DEFAULT_RING_CAPACITY: usize = 1 << 20;
 
 /// Thread-local buffer length that triggers a flush to the global ring.
-#[cfg(not(feature = "metrics-off"))]
-const FLUSH_EVERY: usize = 256;
+/// Fewer events than this record without touching the ring.
+pub const FLUSH_EVERY: usize = 256;
 
 #[cfg(not(feature = "metrics-off"))]
 static NEXT_SEQ: AtomicU64 = AtomicU64::new(1);
@@ -94,55 +96,18 @@ static NEXT_TID: AtomicU64 = AtomicU64::new(0);
 #[cfg(not(feature = "metrics-off"))]
 static ENCODE_NANOS: AtomicU64 = AtomicU64::new(0);
 
-/// Inline capacity of a ring frame. Typical frames run 10–30 bytes
-/// (varints), so nearly every frame stores inline and the ring makes no
-/// per-event heap allocation; long labels/paths spill to a box.
-#[cfg(not(feature = "metrics-off"))]
-const FRAME_INLINE: usize = 30;
-
-/// Frame byte storage: inline for the common small frame, boxed beyond
-/// [`FRAME_INLINE`].
-#[cfg(not(feature = "metrics-off"))]
-enum FrameBytes {
-    Inline { len: u8, buf: [u8; FRAME_INLINE] },
-    Spilled(Box<[u8]>),
-}
-
-#[cfg(not(feature = "metrics-off"))]
-impl FrameBytes {
-    fn copy_from(bytes: &[u8]) -> FrameBytes {
-        if bytes.len() <= FRAME_INLINE {
-            let mut buf = [0u8; FRAME_INLINE];
-            buf[..bytes.len()].copy_from_slice(bytes);
-            FrameBytes::Inline {
-                len: bytes.len() as u8,
-                buf,
-            }
-        } else {
-            FrameBytes::Spilled(bytes.into())
-        }
-    }
-
-    fn as_slice(&self) -> &[u8] {
-        match self {
-            FrameBytes::Inline { len, buf } => &buf[..usize::from(*len)],
-            FrameBytes::Spilled(b) => b,
-        }
-    }
-}
-
-/// One encoded event held by the ring: the frame bytes plus the seq
-/// (kept unencoded for sorting/accounting without a decode).
-#[cfg(not(feature = "metrics-off"))]
-struct Frame {
-    seq: u64,
-    bytes: FrameBytes,
-}
-
-/// The bounded global ring of encoded frames, in arrival (push) order.
+/// The bounded global ring of encoded frames, in arrival (push) order:
+/// the frames' bytes back to back in one byte deque, plus one `(seq, end)`
+/// entry per frame, `end` being the frame's absolute end offset. Flushes
+/// append whole buffers; overwrite and drains cut bytes off the front.
+/// Both deques keep their capacity, so a steady recorder reuses the same
+/// memory round after round.
 #[cfg(not(feature = "metrics-off"))]
 struct Ring {
-    frames: VecDeque<Frame>,
+    bytes: VecDeque<u8>,
+    frames: VecDeque<(u64, u64)>,
+    /// Absolute byte offset of `bytes[0]`.
+    base: u64,
     /// Arrival index of `frames[0]`.
     start_pos: u64,
     /// Arrival index the next push will get.
@@ -154,36 +119,71 @@ struct Ring {
 
 #[cfg(not(feature = "metrics-off"))]
 impl Ring {
-    fn push(&mut self, frame: Frame) {
-        if self.frames.len() >= self.capacity.max(1) {
-            self.frames.pop_front();
-            self.start_pos += 1;
-            self.overwritten += 1;
+    /// Appends one flush: `bytes` holds its frames back to back, `frames`
+    /// each frame's seq and end offset within `bytes`.
+    fn push(&mut self, bytes: &[u8], frames: &[(u64, u32)]) {
+        let base = self.base + self.bytes.len() as u64;
+        self.bytes.extend(bytes);
+        self.frames.extend(
+            frames
+                .iter()
+                .map(|&(seq, end)| (seq, base + u64::from(end))),
+        );
+        self.end_pos += frames.len() as u64;
+        self.trim();
+    }
+
+    /// Overwrites the oldest frames beyond capacity.
+    fn trim(&mut self) {
+        let excess = self.frames.len().saturating_sub(self.capacity.max(1));
+        if excess == 0 {
+            return;
         }
-        self.frames.push_back(frame);
-        self.end_pos += 1;
+        let (_, end) = self.frames[excess - 1];
+        self.frames.drain(..excess);
+        self.bytes.drain(..(end - self.base) as usize);
+        self.base = end;
+        self.start_pos += excess as u64;
+        self.overwritten += excess as u64;
+    }
+
+    /// Frame `k`'s byte range within `bytes`.
+    fn frame_range(&self, k: usize) -> std::ops::Range<usize> {
+        let start = if k == 0 {
+            self.base
+        } else {
+            self.frames[k - 1].1
+        };
+        (start - self.base) as usize..(self.frames[k].1 - self.base) as usize
+    }
+
+    /// Drops every frame (keeping the buffers).
+    fn clear(&mut self) {
+        self.bytes.clear();
+        self.frames.clear();
+        self.base = 0;
     }
 
     /// The oldest seq still present (0 when empty). An O(n) scan: frames
     /// arrive roughly seq-ordered but cross-thread flushes interleave, so
     /// the front frame is not necessarily the minimum.
     fn oldest_seq(&self) -> u64 {
-        self.frames.iter().map(|f| f.seq).min().unwrap_or(0)
+        self.frames.iter().map(|&(seq, _)| seq).min().unwrap_or(0)
     }
 }
 
 #[cfg(not(feature = "metrics-off"))]
 fn ring() -> &'static Mutex<Ring> {
-    static RING: OnceLock<Mutex<Ring>> = OnceLock::new();
-    RING.get_or_init(|| {
-        Mutex::new(Ring {
-            frames: VecDeque::new(),
-            start_pos: 0,
-            end_pos: 0,
-            overwritten: 0,
-            capacity: DEFAULT_RING_CAPACITY,
-        })
-    })
+    static RING: Mutex<Ring> = Mutex::new(Ring {
+        bytes: VecDeque::new(),
+        frames: VecDeque::new(),
+        base: 0,
+        start_pos: 0,
+        end_pos: 0,
+        overwritten: 0,
+        capacity: DEFAULT_RING_CAPACITY,
+    });
+    &RING
 }
 
 #[cfg(not(feature = "metrics-off"))]
@@ -196,6 +196,11 @@ struct LocalBuf {
     generation: u64,
     tid: u32,
     events: Vec<EventRecord>,
+    /// Flush scratch, reused by every flush: the encoded frames, each
+    /// frame's seq and end offset, and one frame body.
+    bytes: Vec<u8>,
+    frames: Vec<(u64, u32)>,
+    body: Vec<u8>,
 }
 
 #[cfg(not(feature = "metrics-off"))]
@@ -206,29 +211,17 @@ impl LocalBuf {
         }
         // Events from a stale epoch must not leak into the new journal.
         if self.generation == GENERATION.load(Ordering::Relaxed) {
-            // Encode outside the ring lock: only the pushes serialize.
-            // Scratch buffers are reused across the whole flush, so small
-            // frames (the overwhelming majority) allocate nothing.
+            // Encode outside the ring lock: only the append serializes.
             let t0 = std::time::Instant::now();
-            let mut body = Vec::with_capacity(40);
-            let mut frame = Vec::with_capacity(48);
-            let frames: Vec<Frame> = self
-                .events
-                .drain(..)
-                .map(|e| {
-                    frame.clear();
-                    crate::wire::encode_event_into(&e, &mut body, &mut frame);
-                    Frame {
-                        seq: e.seq,
-                        bytes: FrameBytes::copy_from(&frame),
-                    }
-                })
-                .collect();
-            ENCODE_NANOS.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            let mut ring = lock_ring();
-            for f in frames {
-                ring.push(f);
+            for e in self.events.drain(..) {
+                crate::wire::encode_event_into(&e, &mut self.body, &mut self.bytes);
+                let end = u32::try_from(self.bytes.len()).expect("flush buffer fits in u32");
+                self.frames.push((e.seq, end));
             }
+            ENCODE_NANOS.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            lock_ring().push(&self.bytes, &self.frames);
+            self.bytes.clear();
+            self.frames.clear();
         } else {
             self.events.clear();
         }
@@ -249,6 +242,9 @@ thread_local! {
             generation: u64::MAX,
             tid: 0,
             events: Vec::new(),
+            bytes: Vec::new(),
+            frames: Vec::new(),
+            body: Vec::new(),
         })
     };
 }
@@ -412,24 +408,37 @@ pub fn drain_binary() -> (Vec<u8>, JournalStats) {
     #[cfg(not(feature = "metrics-off"))]
     {
         let _ = LOCAL.try_with(|l| l.borrow_mut().flush());
-        let (frames, overwritten) = {
-            let mut ring = lock_ring();
-            ring.start_pos = ring.end_pos;
-            (std::mem::take(&mut ring.frames), ring.overwritten)
-        };
-        let mut frames: Vec<Frame> = frames.into();
-        frames.sort_unstable_by_key(|f| f.seq);
+        let mut ring = lock_ring();
+        ring.start_pos = ring.end_pos;
+        // One thread's flushes arrive in seq order, so a single-threaded
+        // journal needs no sort.
+        let sorted = ring
+            .frames
+            .iter()
+            .zip(ring.frames.iter().skip(1))
+            .all(|(a, b)| a.0 < b.0);
         let stats = JournalStats {
-            events_overwritten: overwritten,
-            oldest_seq: frames.first().map_or(0, |f| f.seq),
+            events_overwritten: ring.overwritten,
+            oldest_seq: ring.oldest_seq(),
         };
-        let total: usize = frames.iter().map(|f| f.bytes.as_slice().len()).sum();
-        let mut out = Vec::with_capacity(total + 24);
+        let mut out = Vec::with_capacity(ring.bytes.len() + 24);
         out.extend_from_slice(&crate::wire::MAGIC);
         crate::wire::put_varint(crate::wire::VERSION, &mut out);
-        for f in &frames {
-            out.extend_from_slice(f.bytes.as_slice());
+        if sorted {
+            let (a, b) = ring.bytes.as_slices();
+            out.extend_from_slice(a);
+            out.extend_from_slice(b);
+        } else {
+            let mut order: Vec<usize> = (0..ring.frames.len()).collect();
+            order.sort_unstable_by_key(|&k| ring.frames[k].0);
+            ring.bytes.make_contiguous();
+            let bytes = ring.bytes.as_slices().0;
+            for k in order {
+                out.extend_from_slice(&bytes[ring.frame_range(k)]);
+            }
         }
+        ring.clear();
+        drop(ring);
         crate::wire::encode_meta(&stats, &mut out);
         (out, stats)
     }
@@ -451,7 +460,7 @@ pub fn drain_since(cursor: Cursor) -> DrainChunk {
     #[cfg(not(feature = "metrics-off"))]
     {
         let _ = LOCAL.try_with(|l| l.borrow_mut().flush());
-        let ring = lock_ring();
+        let mut ring = lock_ring();
         let generation = GENERATION.load(Ordering::Relaxed);
         // A cursor from another epoch restarts from the beginning.
         let pos = if cursor.generation == generation {
@@ -460,11 +469,12 @@ pub fn drain_since(cursor: Cursor) -> DrainChunk {
             0
         };
         let start = pos.max(ring.start_pos);
-        let mut events: Vec<EventRecord> = ring
-            .frames
-            .iter()
-            .skip((start - ring.start_pos) as usize)
-            .map(|f| crate::wire::decode_event(f.bytes.as_slice()).expect("ring frame decodes"))
+        ring.bytes.make_contiguous();
+        let bytes = ring.bytes.as_slices().0;
+        let mut events: Vec<EventRecord> = ((start - ring.start_pos) as usize..ring.frames.len())
+            .map(|k| {
+                crate::wire::decode_event(&bytes[ring.frame_range(k)]).expect("ring frame decodes")
+            })
             .collect();
         events.sort_by_key(|e| e.seq);
         DrainChunk {
@@ -522,11 +532,7 @@ pub fn set_ring_capacity(capacity: usize) {
     {
         let mut ring = lock_ring();
         ring.capacity = capacity.max(1);
-        while ring.frames.len() > ring.capacity {
-            ring.frames.pop_front();
-            ring.start_pos += 1;
-            ring.overwritten += 1;
-        }
+        ring.trim();
     }
     #[cfg(feature = "metrics-off")]
     {
@@ -549,7 +555,7 @@ pub fn reset() {
         ENCODE_NANOS.store(0, Ordering::Relaxed);
         {
             let mut ring = lock_ring();
-            ring.frames.clear();
+            ring.clear();
             ring.start_pos = 0;
             ring.end_pos = 0;
             ring.overwritten = 0;
@@ -617,7 +623,8 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<JournalEvent>, String> {
         events.push(JournalEvent {
             seq: num("seq")?,
             trace: num("trace")?,
-            tid: num("tid")? as u32,
+            tid: u32::try_from(num("tid")?)
+                .map_err(|_| format!("line {}: `tid` exceeds u32", i + 1))?,
             kind,
             data: get("data").unwrap_or(Json::Null),
         });
@@ -850,6 +857,22 @@ mod tests {
         assert_eq!(parsed[1].field_u64("hit_seq"), Some(44));
         assert_eq!(parsed[1].field("value"), Some(&Json::I64(-3)));
         assert_eq!(parsed, to_events(&records));
+    }
+
+    #[test]
+    fn jsonl_rejects_out_of_range_tid_and_deep_nesting() {
+        let line = |tid: u64| {
+            format!(
+                "{{\"seq\":1,\"trace\":0,\"tid\":{tid},\"kind\":\"run.start\",\"data\":null}}\n"
+            )
+        };
+        let ok = parse_jsonl(&line(u64::from(u32::MAX))).expect("u32::MAX is a tid");
+        assert_eq!(ok[0].tid, u32::MAX);
+        let err =
+            parse_jsonl(&format!("{}{}", line(1), line(u64::from(u32::MAX) + 1))).unwrap_err();
+        assert!(err.starts_with("line 2:") && err.contains("tid"), "{err}");
+        let err = parse_jsonl(&"[".repeat(100_000)).unwrap_err();
+        assert!(err.starts_with("line 1:"), "{err}");
     }
 
     #[test]

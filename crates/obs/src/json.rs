@@ -131,6 +131,7 @@ impl Json {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -142,9 +143,16 @@ impl Json {
     }
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so unbounded nesting in outside input (a
+/// corrupt journal line of `[[[[…`) would overflow the stack.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -186,8 +194,22 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let v = if b == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
             Some(b) => Err(format!("unexpected `{}` at byte {}", b as char, self.pos)),
             None => Err("unexpected end of input".into()),
@@ -402,5 +424,16 @@ mod tests {
         assert!(Json::parse("\"open").is_err());
         assert!(Json::parse("1 2").is_err());
         assert!(Json::parse("nul").is_err());
+    }
+
+    #[test]
+    fn parse_rejects_nesting_beyond_the_limit_without_recursing_into_it() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nested(super::MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(super::MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        // Deep enough to overflow the stack if each level recursed.
+        assert!(Json::parse(&"[".repeat(100_000)).is_err());
+        assert!(Json::parse(&"{\"a\":".repeat(100_000)).is_err());
     }
 }

@@ -68,8 +68,8 @@ pub fn histogram_by_name(name: &'static str) -> &'static Histogram {
     }
 }
 
-/// Returns the timer for a `/`-joined span path (dynamic key: paths are
-/// built from the per-thread span stack).
+/// Returns the timer for a `/`-joined span path. Called once per span
+/// path, when the span tree interns it; spans then hold the timer.
 #[cfg(not(feature = "metrics-off"))]
 pub(crate) fn timer_by_path(path: &str) -> &'static Timer {
     let mut map = registry().timers.lock().unwrap();

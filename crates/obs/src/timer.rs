@@ -3,7 +3,11 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 #[cfg(not(feature = "metrics-off"))]
+use std::borrow::Cow;
+#[cfg(not(feature = "metrics-off"))]
 use std::cell::RefCell;
+#[cfg(not(feature = "metrics-off"))]
+use std::sync::{Mutex, OnceLock};
 #[cfg(not(feature = "metrics-off"))]
 use std::time::Instant;
 
@@ -55,9 +59,93 @@ impl Timer {
     }
 }
 
+/// One interned span path: a node of the process-wide span tree, keyed by
+/// (parent, name). Built and leaked on a path's first visit; every later
+/// open or close of the span reuses it, so recording a span makes no
+/// allocation, takes no lock and builds no string.
+#[cfg(not(feature = "metrics-off"))]
+struct SpanNode {
+    name: &'static str,
+    /// The full `/`-joined path.
+    path: &'static str,
+    /// The timer registered for `path`.
+    timer: &'static Timer,
+    /// Head of this node's child list.
+    children: ChildSlot,
+    /// The next sibling in the parent's child list.
+    next: ChildSlot,
+}
+
+/// A link in an append-only child list. Readers walk the list without a
+/// lock; only [`intern`] sets a link, under [`INTERN`].
+#[cfg(not(feature = "metrics-off"))]
+type ChildSlot = OnceLock<&'static SpanNode>;
+
+#[cfg(not(feature = "metrics-off"))]
+impl std::fmt::Debug for SpanNode {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.path)
+    }
+}
+
+/// Head of the list of top-level spans.
+#[cfg(not(feature = "metrics-off"))]
+static TOP_LEVEL: ChildSlot = OnceLock::new();
+/// Serializes first visits, so each (parent, name) is interned once.
+#[cfg(not(feature = "metrics-off"))]
+static INTERN: Mutex<()> = Mutex::new(());
+
+/// The node in `list` named `name`, or the empty link at the list's end.
+#[cfg(not(feature = "metrics-off"))]
+fn find(list: &'static ChildSlot, name: &str) -> Result<&'static SpanNode, &'static ChildSlot> {
+    let mut slot = list;
+    while let Some(node) = slot.get() {
+        if node.name == name {
+            return Ok(node);
+        }
+        slot = &node.next;
+    }
+    Err(slot)
+}
+
+/// The node for span `name` opened under `parent` (top level if `None`).
+#[cfg(not(feature = "metrics-off"))]
+fn intern(parent: Option<&'static SpanNode>, name: &'static str) -> &'static SpanNode {
+    let list = parent.map_or(&TOP_LEVEL, |p| &p.children);
+    if let Ok(node) = find(list, name) {
+        return node;
+    }
+    let _first_visit = INTERN.lock().unwrap_or_else(|e| e.into_inner());
+    // Another thread may have appended the node while this one waited.
+    match find(list, name) {
+        Ok(node) => node,
+        Err(tail) => {
+            let path: &'static str = match parent {
+                Some(p) => Box::leak(format!("{}/{name}", p.path).into_boxed_str()),
+                None => name,
+            };
+            let node: &'static SpanNode = Box::leak(Box::new(SpanNode {
+                name,
+                path,
+                timer: crate::registry::timer_by_path(path),
+                children: OnceLock::new(),
+                next: OnceLock::new(),
+            }));
+            tail.set(node).expect("only the interner sets links");
+            node
+        }
+    }
+}
+
 #[cfg(not(feature = "metrics-off"))]
 thread_local! {
-    static SPAN_STACK: RefCell<Vec<String>> = const { RefCell::new(Vec::new()) };
+    static SPAN_STACK: RefCell<Vec<&'static SpanNode>> = const { RefCell::new(Vec::new()) };
+}
+
+/// The innermost span open on this thread.
+#[cfg(not(feature = "metrics-off"))]
+fn innermost() -> Option<&'static SpanNode> {
+    SPAN_STACK.with(|s| s.borrow().last().copied())
 }
 
 /// RAII guard returned by [`span`]; records the elapsed time against the
@@ -68,7 +156,7 @@ pub struct SpanGuard {
     #[cfg(not(feature = "metrics-off"))]
     start: Instant,
     #[cfg(not(feature = "metrics-off"))]
-    path: String,
+    node: &'static SpanNode,
 }
 
 /// Opens a span named `name`, nested under any spans already open on this
@@ -84,7 +172,7 @@ pub struct SpanGuard {
 pub fn span(name: &'static str) -> SpanGuard {
     #[cfg(not(feature = "metrics-off"))]
     {
-        push_segment(name.to_owned())
+        push(intern(innermost(), name))
     }
     #[cfg(feature = "metrics-off")]
     {
@@ -94,19 +182,17 @@ pub fn span(name: &'static str) -> SpanGuard {
 }
 
 #[cfg(not(feature = "metrics-off"))]
-fn push_segment(segment: String) -> SpanGuard {
-    let path = SPAN_STACK.with(|s| {
-        let mut s = s.borrow_mut();
-        s.push(segment);
-        s.join("/")
-    });
+fn push(node: &'static SpanNode) -> SpanGuard {
+    SPAN_STACK.with(|s| s.borrow_mut().push(node));
     // Mirror the span into the flight-recorder journal so the Chrome
     // export can show it as a B/E duration pair. Journaled *before* the
     // clock read so the recording cost is outside the measured span.
-    crate::journal::record(crate::event::EventKind::SpanBegin { path: path.clone() });
+    crate::journal::record(crate::event::EventKind::SpanBegin {
+        path: Cow::Borrowed(node.path),
+    });
     SpanGuard {
         start: Instant::now(),
-        path,
+        node,
     }
 }
 
@@ -121,7 +207,7 @@ fn push_segment(segment: String) -> SpanGuard {
 #[derive(Clone, Debug, Default)]
 pub struct SpanHandle {
     #[cfg(not(feature = "metrics-off"))]
-    path: String,
+    node: Option<&'static SpanNode>,
 }
 
 /// Captures the calling thread's current span path as a [`SpanHandle`].
@@ -131,9 +217,7 @@ pub struct SpanHandle {
 pub fn current_span_handle() -> SpanHandle {
     #[cfg(not(feature = "metrics-off"))]
     {
-        SpanHandle {
-            path: SPAN_STACK.with(|s| s.borrow().join("/")),
-        }
+        SpanHandle { node: innermost() }
     }
     #[cfg(feature = "metrics-off")]
     {
@@ -154,12 +238,7 @@ pub fn current_span_handle() -> SpanHandle {
 pub fn span_under(parent: &SpanHandle, name: &'static str) -> SpanGuard {
     #[cfg(not(feature = "metrics-off"))]
     {
-        let local_open = SPAN_STACK.with(|s| !s.borrow().is_empty());
-        if local_open || parent.path.is_empty() {
-            push_segment(name.to_owned())
-        } else {
-            push_segment(format!("{}/{}", parent.path, name))
-        }
+        push(intern(innermost().or(parent.node), name))
     }
     #[cfg(feature = "metrics-off")]
     {
@@ -173,9 +252,9 @@ impl Drop for SpanGuard {
         #[cfg(not(feature = "metrics-off"))]
         {
             let ns = u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            crate::registry::timer_by_path(&self.path).record_ns(ns);
+            self.node.timer.record_ns(ns);
             crate::journal::record(crate::event::EventKind::SpanEnd {
-                path: std::mem::take(&mut self.path),
+                path: Cow::Borrowed(self.node.path),
             });
             SPAN_STACK.with(|s| {
                 s.borrow_mut().pop();

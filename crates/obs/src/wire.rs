@@ -277,8 +277,7 @@ fn encode_kind(kind: &EventKind, out: &mut Vec<u8>) {
                 put_varint(p, out);
             }
         }
-        EventKind::SpanBegin { path } => put_str(path, out),
-        EventKind::SpanEnd { path } => put_str(path, out),
+        EventKind::SpanBegin { path } | EventKind::SpanEnd { path } => put_str(path, out),
     }
 }
 
@@ -428,8 +427,12 @@ fn decode_kind(tag: u8, b: &mut Body) -> Result<EventKind, String> {
                 provenance,
             }
         }
-        15 => EventKind::SpanBegin { path: b.str()? },
-        16 => EventKind::SpanEnd { path: b.str()? },
+        15 => EventKind::SpanBegin {
+            path: b.str()?.into(),
+        },
+        16 => EventKind::SpanEnd {
+            path: b.str()?.into(),
+        },
         other => return Err(format!("unknown event tag {other}")),
     })
 }

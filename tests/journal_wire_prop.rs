@@ -176,8 +176,8 @@ fn arb_kind() -> impl Strategy<Value = EventKind> {
                 provenance,
             }
         }),
-        arb_str().prop_map(|path| EventKind::SpanBegin { path }),
-        arb_str().prop_map(|path| EventKind::SpanEnd { path }),
+        arb_str().prop_map(|path| EventKind::SpanBegin { path: path.into() }),
+        arb_str().prop_map(|path| EventKind::SpanEnd { path: path.into() }),
     ]
 }
 

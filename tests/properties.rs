@@ -435,7 +435,7 @@ fn used_registers_are_live_with_reaching_defs_in_all_bugbase_programs() {
                     id
                 );
                 let is_param = p.function(f).params.contains(&v);
-                let has_def = reach.before(id).iter().any(|&d| {
+                let has_def = reach.before(id).iter().any(|d| {
                     p.stmt_func(d) == Some(f) && p.instr(d).and_then(|i| i.op.def()) == Some(v)
                 });
                 assert!(

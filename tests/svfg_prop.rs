@@ -41,7 +41,7 @@ fn intra_thread_edges_agree_with_reaching_defs() {
                     continue;
                 }
                 assert!(
-                    rd.before(use_site).contains(&edge.def),
+                    rd.before(use_site).contains(edge.def),
                     "{}: {:?} edge {:?} -> {:?} has no reaching definition",
                     bug.name,
                     edge.kind,
